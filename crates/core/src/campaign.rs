@@ -432,9 +432,7 @@ impl CampaignRunner for AttackCampaignRunner<'_> {
                 }
                 Arc::new(self.run_aggregate(ctx))
             }
-            JobKind::Attack | JobKind::Custom(_) => {
-                return Err(format!("unknown stage '{}'", job.kind.tag()))
-            }
+            JobKind::Custom(_) => return Err(format!("unknown stage '{}'", job.kind.tag())),
         };
         Ok(value)
     }

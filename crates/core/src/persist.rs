@@ -80,7 +80,6 @@ pub struct RemovalArtifact {
 const TAG_TRAIN: &str = "train-v1";
 const TAG_VERIFY: &str = "verify-v1";
 const TAG_AGGREGATE: &str = "aggregate-v1";
-const TAG_ATTACK_OUTCOME: &str = "attack-outcome-v1";
 const TAG_SUMMARY: &str = "summary-v1";
 const TAG_NETLIST: &str = "netlist-v1";
 const TAG_LOCKED: &str = "locked-v1";
@@ -206,14 +205,6 @@ impl ValueCodec for PipelineCodec {
                     write_attack_outcome(&mut w, outcome);
                 }
             }
-            JobKind::Attack => {
-                // Whole-benchmark attack jobs (attack_targets) carry an
-                // AttackOutcome; campaign per-instance artifacts hold an
-                // Arc to the full dataset and are declined.
-                let v = value.downcast_ref::<AttackOutcome>()?;
-                w.str(TAG_ATTACK_OUTCOME);
-                write_attack_outcome(&mut w, v);
-            }
             JobKind::Custom("summary") => {
                 let v = value.downcast_ref::<DatasetSummary>()?;
                 w.str(TAG_SUMMARY);
@@ -310,7 +301,6 @@ impl ValueCodec for PipelineCodec {
                 }
                 Arc::new(v)
             }
-            (JobKind::Attack, TAG_ATTACK_OUTCOME) => Arc::new(read_attack_outcome(&mut r)?),
             (JobKind::Custom("summary"), TAG_SUMMARY) => Arc::new(read_summary(&mut r)?),
             _ => return None,
         };
@@ -1079,10 +1069,10 @@ mod tests {
     #[test]
     fn attack_outcome_round_trips() {
         let codec = PipelineCodec;
-        let value: JobValue = Arc::new(sample_outcome());
-        let bytes = codec.encode(JobKind::Attack, &value).expect("encodable");
-        let back = codec.decode(JobKind::Attack, &bytes).expect("decodable");
-        let back = back.downcast_ref::<AttackOutcome>().unwrap();
+        let value: JobValue = Arc::new(vec![sample_outcome()]);
+        let bytes = codec.encode(JobKind::Aggregate, &value).expect("encodable");
+        let back = codec.decode(JobKind::Aggregate, &bytes).expect("decodable");
+        let back = &back.downcast_ref::<Vec<AttackOutcome>>().unwrap()[0];
         let orig = sample_outcome();
         assert_eq!(back.benchmark, orig.benchmark);
         assert_eq!(back.instances.len(), 1);
@@ -1309,20 +1299,20 @@ mod tests {
     fn alien_payloads_decode_to_none() {
         let codec = PipelineCodec;
         // Wrong kind for the tag.
-        let value: JobValue = Arc::new(sample_outcome());
-        let bytes = codec.encode(JobKind::Attack, &value).unwrap();
+        let value: JobValue = Arc::new(vec![sample_outcome()]);
+        let bytes = codec.encode(JobKind::Aggregate, &value).unwrap();
         assert!(codec.decode(JobKind::Train, &bytes).is_none());
         // Truncated payload.
         assert!(codec
-            .decode(JobKind::Attack, &bytes[..bytes.len() - 3])
+            .decode(JobKind::Aggregate, &bytes[..bytes.len() - 3])
             .is_none());
         // Trailing garbage.
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(codec.decode(JobKind::Attack, &extended).is_none());
+        assert!(codec.decode(JobKind::Aggregate, &extended).is_none());
         // Values the codec does not cover are declined on encode.
         let shard: JobValue = Arc::new(42u64);
         assert!(codec.encode(JobKind::Lock, &shard).is_none());
-        assert!(codec.encode(JobKind::Attack, &shard).is_none());
+        assert!(codec.encode(JobKind::Aggregate, &shard).is_none());
     }
 }

@@ -798,18 +798,18 @@ mod tests {
     }
 
     /// The budget sweep runs against the *configured* store backend:
-    /// with an in-memory `FaultBackend` installed, eviction happens in
+    /// with an in-memory object store installed, eviction happens in
     /// memory and nothing touches the real filesystem. In-flight
     /// protocol files (`.tmp-*`, `.lease`) are never billed to the
     /// tenant's budget, and stale orphaned ones are collected by the
     /// same sweep.
     #[test]
     fn tenant_budget_sweep_runs_on_the_configured_backend() {
-        use gnnunlock_engine::{FaultBackend, StoreBackend};
+        use gnnunlock_engine::{ObjectStoreBackend, StoreBackend};
         use std::time::Duration;
 
         let root = tmp_root("budget-backend");
-        let backend = Arc::new(FaultBackend::new());
+        let backend = Arc::new(ObjectStoreBackend::new());
         let core = DaemonCore::new(
             DaemonConfig::new(&root)
                 .with_tenant_budget(1024)
@@ -824,20 +824,28 @@ mod tests {
                 .join("tenants/acme/objects")
                 .join(name)
         };
-        backend.insert_raw(&obj(&active, "live.bin"), &[0u8; 900]);
-        backend.insert_raw(&obj(&done, "old.bin"), &[0u8; 900]);
+        backend
+            .publish(&obj(&active, "live.bin"), &[0u8; 900])
+            .unwrap();
+        backend
+            .publish(&obj(&done, "old.bin"), &[0u8; 900])
+            .unwrap();
         // A huge in-flight temp and a held lease: invisible to the
         // 1024-byte budget (billing them would evict every entry) and
         // untouched while fresh.
-        backend.insert_raw(&obj(&done, ".tmp-42-0"), &[0u8; 64 * 1024]);
-        backend.insert_raw(
-            &obj(&done, "x.lease"),
-            b"gnnunlock-lease owner=w pid=1 gen=0\n",
-        );
+        backend
+            .publish(&obj(&done, ".tmp-42-0"), &[0u8; 64 * 1024])
+            .unwrap();
+        backend
+            .publish(
+                &obj(&done, "x.lease"),
+                b"gnnunlock-lease owner=w pid=1 gen=0\n",
+            )
+            .unwrap();
         // A *stale* orphaned temp is collected by the sweep itself.
         let stale = obj(&done, ".tmp-7-7");
-        backend.insert_raw(&stale, b"orphan");
-        backend.age(&stale, Duration::from_secs(2 * 3600));
+        backend.publish(&stale, b"orphan").unwrap();
+        backend.service().age(&stale, Duration::from_secs(2 * 3600));
 
         core.enforce_tenant_budget("acme");
         assert!(backend.contains(&obj(&active, "live.bin")), "protected");
@@ -863,16 +871,20 @@ mod tests {
     /// global metrics registry (the daemon's `/metrics` surface).
     /// Deterministic: the campaign is executed synchronously through
     /// the worker path, and every retry pause lands on the fault
-    /// backend's virtual clock.
+    /// decorator's virtual clock.
     #[test]
     fn store_outage_fails_campaign_with_persisted_error_and_metrics() {
-        use gnnunlock_engine::{Fault, FaultBackend, FaultOp, FaultRule, StoreBackend};
+        use gnnunlock_engine::{
+            Fault, FaultOp, FaultRule, Faulty, ObjectStoreBackend, StoreBackend,
+        };
 
         let root = tmp_root("store-outage");
-        let backend = Arc::new(FaultBackend::new());
         // The store answers briefly, then disappears for good: every
         // gated operation after the first few times out, forever.
-        backend.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(8));
+        let backend = Arc::new(Faulty::with_rules(
+            ObjectStoreBackend::new(),
+            [FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(8)],
+        ));
         let core = DaemonCore::new(
             DaemonConfig::new(&root).with_store_backend(backend.clone() as Arc<dyn StoreBackend>),
         );

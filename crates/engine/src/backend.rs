@@ -18,50 +18,45 @@
 //!   concurrent renames of one source path, exactly one wins; losers
 //!   fail (the file is gone).
 //!
-//! Two implementations ship today: [`LocalDirBackend`] (the production
+//! Two implementations ship: [`LocalDirBackend`] (the production
 //! backend — the original `DiskStore`/`LeaseManager` filesystem code
 //! moved behind the trait, byte-for-byte compatible with stores written
-//! before the trait existed) and [`FaultBackend`] (an in-memory backend
-//! whose deterministic, seeded fault schedule simulates crashed writers,
-//! torn reads/writes, NFS-style delayed visibility and transient I/O
-//! errors — turning the crash/takeover test matrix from
-//! timing-dependent SIGKILL choreography into fast exhaustive unit
-//! tests). The NFS- and object-store-shaped backends on the roadmap
-//! implement the same trait: conditional-put/ETag leases are just
-//! another way to discharge the `claim` obligation.
+//! before the trait existed) and [`crate::ObjectStoreBackend`], which
+//! discharges the same obligations over a minimal in-process blob API
+//! with no renames and no hard links: publish is a last-writer-wins
+//! put, claim is `put_if_absent`, and entomb is an ETag-conditional swap
+//! (copy to the tomb key, then delete-if-match on the observed ETag —
+//! exactly one challenger's conditional delete can win).
 //!
-//! A third implementation, [`crate::ObjectStoreBackend`], discharges
-//! the same obligations over a minimal blob API with no renames and no
-//! hard links: publish is a last-writer-wins put, claim is
-//! `put_if_absent`, and entomb is an ETag-conditional swap (copy to the
-//! tomb key, then delete-if-match on the observed ETag — exactly one
-//! challenger's conditional delete can win).
+//! Crashed writers, torn reads/writes, delayed visibility and service
+//! outages are not a backend of their own: the [`crate::Faulty`]
+//! decorator injects them into either implementation on a deterministic
+//! schedule, turning the crash/takeover matrix from timing-dependent
+//! SIGKILL choreography into fast exhaustive tests.
 //!
 //! Backend selection: explicit (`ShardConfig::with_backend`,
 //! `DaemonConfig::with_store_backend`, `DiskStore::open_with_backend`)
-//! or via [`STORE_BACKEND_ENV`] (`local` — the default — `memory`,
-//! which maps each store root onto a process-global [`FaultBackend`]
-//! with no faults scheduled, or `object`, the blob-API backend; CI runs
-//! the backend-agnostic suite under all three values). Whatever the
+//! or via [`STORE_BACKEND_ENV`] (`local` — the default — or `object`,
+//! which maps each store root onto a process-global object store;
+//! `memory` is accepted as an alias for `object`). Whatever the
 //! selection, [`crate::DiskStore`] wraps the backend in the
 //! [`crate::resilience`] layer — deterministic retries, a per-backend
 //! circuit breaker, and a publish spill queue.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 /// Environment variable selecting the store backend implementation:
-/// `local` (the default; real directories + atomic renames), `memory`
-/// (a process-global in-memory [`FaultBackend`] per store root — no
-/// durability, used by the CI backend matrix and fault soak) or
-/// `object` (a process-global [`crate::ObjectStoreBackend`] per store
-/// root — blob API, conditional-put arbitration). Malformed values warn
-/// via [`crate::env`] and fall back to `local`.
+/// `local` (the default; real directories + atomic renames) or `object`
+/// (a process-global in-memory [`crate::ObjectStoreBackend`] per store
+/// root — blob API, conditional-put arbitration, no durability; used by
+/// the CI backend matrix). `memory` is accepted as an alias for
+/// `object`. Malformed values warn via [`crate::env`] and fall back to
+/// `local`.
 pub const STORE_BACKEND_ENV: &str = "GNNUNLOCK_STORE_BACKEND";
 
 /// One file's metadata as reported by [`StoreBackend::list`].
@@ -84,7 +79,7 @@ pub struct FileMeta {
 /// backend does) as long as prefix/parent relationships still hold for
 /// [`StoreBackend::list`].
 pub trait StoreBackend: Send + Sync + std::fmt::Debug {
-    /// Short stable name for diagnostics (`"local"`, `"memory"`).
+    /// Short stable name for diagnostics (`"local"`, `"object"`).
     fn name(&self) -> &'static str;
 
     /// Ensure `dir` exists (no-op where directories aren't real).
@@ -127,12 +122,22 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
     /// subtree when `recursive`. A missing directory lists as empty.
     fn list(&self, dir: &Path, recursive: bool) -> io::Result<Vec<FileMeta>>;
 
+    /// Leave behind what a writer that died mid-[`StoreBackend::publish`]
+    /// of `path` would leave, having staged `staged` but never made it
+    /// visible — the hook [`crate::Faulty`] stages crash faults through.
+    /// The final path must stay untouched. The default leaves nothing:
+    /// a substrate whose writes are atomic at the service has no staging
+    /// namespace to orphan.
+    fn crash_residue(&self, _path: &Path, _staged: &[u8]) -> io::Result<()> {
+        Ok(())
+    }
+
     /// Park the caller for `pause` between retry attempts — the clock
     /// every wait of the [`crate::resilience`] layer goes through.
-    /// Substrate-backed backends really sleep; the deterministic
-    /// in-memory backends advance a virtual clock instead (the
-    /// `age()`-style mtime doctoring applied to time itself), which is
-    /// what lets the whole retry/breaker matrix run timing-free.
+    /// Plain backends really sleep; [`crate::Faulty`] advances a virtual
+    /// clock instead (the `age()`-style mtime doctoring applied to time
+    /// itself), which is what lets the whole retry/breaker matrix run
+    /// timing-free.
     fn backoff_wait(&self, pause: Duration) {
         std::thread::sleep(pause);
     }
@@ -250,6 +255,14 @@ impl StoreBackend for LocalDirBackend {
         fs::rename(path, tomb)
     }
 
+    fn crash_residue(&self, path: &Path, staged: &[u8]) -> io::Result<()> {
+        // The staged temp sibling survives the dead writer; the regular
+        // orphan sweep collects it once stale.
+        let dir = path.parent().unwrap_or(Path::new("."));
+        fs::create_dir_all(dir)?;
+        fs::write(dir.join(Self::staging_name("crash-")), staged)
+    }
+
     fn load(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
     }
@@ -299,677 +312,10 @@ impl StoreBackend for LocalDirBackend {
     }
 }
 
-/// The operation an injected fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOp {
-    /// [`StoreBackend::publish`].
-    Publish,
-    /// [`StoreBackend::claim`].
-    Claim,
-    /// [`StoreBackend::entomb`].
-    Entomb,
-    /// [`StoreBackend::load`].
-    Load,
-    /// [`StoreBackend::refresh`].
-    Refresh,
-    /// [`StoreBackend::remove`].
-    Remove,
-}
-
-impl FaultOp {
-    /// Stable lowercase tag (journal / diagnostics).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FaultOp::Publish => "publish",
-            FaultOp::Claim => "claim",
-            FaultOp::Entomb => "entomb",
-            FaultOp::Load => "load",
-            FaultOp::Refresh => "refresh",
-            FaultOp::Remove => "remove",
-        }
-    }
-}
-
-/// The failure a matched [`FaultRule`] injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// The writer died after staging its bytes but before the atomic
-    /// rename: the final path is untouched, an orphaned `.tmp-crash-*`
-    /// sibling is left behind, and the operation errors.
-    CrashBeforeRename,
-    /// The challenger died immediately after the tomb rename: the
-    /// rename *is applied* (the lease is gone, the tomb exists), then
-    /// the operation errors — the crash window of satellite bug 3.
-    CrashAfterEntomb,
-    /// The writer died (or a reader raced it) mid-write: the path holds
-    /// only the first `n` bytes of the content. On `claim` the torn
-    /// file *exists* (modeling the legacy create-new-then-write
-    /// protocol and NFS partial visibility); on `publish` the torn
-    /// bytes land in an orphaned temp sibling, never under the final
-    /// name (publish is atomic).
-    TornWrite(usize),
-    /// The reader observed only the first `n` bytes — an NFS
-    /// close-to-open cache serving a stale partial page.
-    TornRead(usize),
-    /// The path is reported absent for this one operation even though
-    /// it exists — NFS close-to-open delayed visibility.
-    Invisible,
-    /// A spurious transient error ([`io::ErrorKind::WouldBlock`]); the
-    /// operation has no effect and succeeds if retried.
-    Transient,
-    /// The service answered only after `ms` milliseconds — surfaced to
-    /// the caller as [`io::ErrorKind::TimedOut`] (its patience ran out
-    /// first) with the latency charged to the backend's virtual clock,
-    /// never slept. The operation has no effect and succeeds if
-    /// retried.
-    Latency(u64),
-    /// A sustained outage: this operation fails with
-    /// [`io::ErrorKind::TimedOut`] and opens a window in which the next
-    /// `n` operations of any kind fail the same way — the schedule
-    /// vocabulary for exercising retry exhaustion and the circuit
-    /// breaker.
-    Unavailable(usize),
-    /// A degraded-but-correct replica: the read completes with the full
-    /// bytes, but its slowness is charged to the backend's virtual
-    /// clock.
-    SlowRead,
-}
-
-impl Fault {
-    /// Stable lowercase tag (journal / diagnostics).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Fault::CrashBeforeRename => "crash-before-rename",
-            Fault::CrashAfterEntomb => "crash-after-entomb",
-            Fault::TornWrite(_) => "torn-write",
-            Fault::TornRead(_) => "torn-read",
-            Fault::Invisible => "invisible",
-            Fault::Transient => "transient",
-            Fault::Latency(_) => "latency",
-            Fault::Unavailable(_) => "unavailable",
-            Fault::SlowRead => "slow-read",
-        }
-    }
-
-    /// Whether a schedule of this fault can never change a campaign's
-    /// outcome, only its wall-clock — the admission criterion for the
-    /// seeded soak schedules. Crash and torn-write faults are excluded:
-    /// they mutate durable state mid-operation, which is the crash
-    /// matrix's scenario, not the soak's.
-    pub fn recoverable(&self) -> bool {
-        matches!(
-            self,
-            Fault::Transient
-                | Fault::Invisible
-                | Fault::TornRead(_)
-                | Fault::Latency(_)
-                | Fault::Unavailable(_)
-                | Fault::SlowRead
-        )
-    }
-}
-
-/// One entry of a [`FaultBackend`] schedule: the `skip`-th-and-after
-/// matching operation (op kind + path substring) fires `fault`, once.
-#[derive(Debug, Clone)]
-pub struct FaultRule {
-    /// The operation kind this rule matches.
-    pub op: FaultOp,
-    /// Substring the operation's path must contain (`""` matches all).
-    pub path_contains: String,
-    /// Matching operations to let through before firing.
-    pub skip: usize,
-    /// The fault to inject.
-    pub fault: Fault,
-}
-
-impl FaultRule {
-    /// A rule firing `fault` on the first `op` whose path contains
-    /// `path_contains`.
-    pub fn on(op: FaultOp, path_contains: impl Into<String>, fault: Fault) -> Self {
-        FaultRule {
-            op,
-            path_contains: path_contains.into(),
-            skip: 0,
-            fault,
-        }
-    }
-
-    /// Let `skip` matching operations through before firing.
-    pub fn after(mut self, skip: usize) -> Self {
-        self.skip = skip;
-        self
-    }
-}
-
-/// One journaled backend operation (for test assertions).
-#[derive(Debug, Clone)]
-pub struct JournalEntry {
-    /// Global operation sequence number.
-    pub seq: u64,
-    /// The operation kind.
-    pub op: FaultOp,
-    /// The path operated on.
-    pub path: PathBuf,
-    /// The fault injected into this operation, if any.
-    pub fault: Option<Fault>,
-    /// Whether the operation returned `Ok`.
-    pub ok: bool,
-}
-
-#[derive(Debug, Clone)]
-struct MemFile {
-    bytes: Vec<u8>,
-    mtime: SystemTime,
-}
-
-#[derive(Debug)]
-struct ArmedRule {
-    rule: FaultRule,
-    seen: usize,
-    fired: bool,
-}
-
-/// An armed schedule of [`FaultRule`]s — the rule store shared by every
-/// fault-injecting substrate ([`FaultBackend`] and the object store's
-/// blob service), so `.after(n)` / fire-once semantics are defined in
-/// exactly one place.
-#[derive(Debug, Default)]
-pub(crate) struct FaultSchedule {
-    rules: Mutex<Vec<ArmedRule>>,
-}
-
-impl FaultSchedule {
-    pub(crate) fn inject(&self, rule: FaultRule) {
-        self.rules.lock().unwrap().push(ArmedRule {
-            rule,
-            seen: 0,
-            fired: false,
-        });
-    }
-
-    pub(crate) fn clear(&self) {
-        self.rules.lock().unwrap().clear();
-    }
-
-    pub(crate) fn fired(&self) -> usize {
-        self.rules
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|r| r.fired)
-            .count()
-    }
-
-    /// The first due rule matching `(op, path)`, marked fired. Every
-    /// matching unfired rule's skip count advances — `.after(n)` counts
-    /// matching *operations*, not operations left over by earlier rules.
-    pub(crate) fn check(&self, op: FaultOp, path: &Path) -> Option<Fault> {
-        let path_str = path.to_string_lossy();
-        let mut rules = self.rules.lock().unwrap();
-        let mut hit = None;
-        for armed in rules.iter_mut() {
-            if armed.fired || armed.rule.op != op || !path_str.contains(&armed.rule.path_contains) {
-                continue;
-            }
-            let due = armed.seen >= armed.rule.skip;
-            armed.seen += 1;
-            if hit.is_none() && due {
-                armed.fired = true;
-                hit = Some(armed.rule.fault);
-            }
-        }
-        hit
-    }
-}
-
-/// In-memory [`StoreBackend`] with deterministic fault injection.
-///
-/// Files live in a `BTreeMap` guarded by one mutex, so the
-/// exactly-one-winner obligations hold trivially; mtimes are real
-/// [`SystemTime`]s that tests doctor directly ([`FaultBackend::age`])
-/// instead of sleeping, which is what makes the crash matrix run in
-/// milliseconds. Faults are scheduled as [`FaultRule`]s — each fires
-/// exactly once on the first matching operation past its `skip` count —
-/// and every mutating/reading operation is journaled for assertions.
-#[derive(Debug, Default)]
-pub struct FaultBackend {
-    files: Mutex<BTreeMap<PathBuf, MemFile>>,
-    rules: FaultSchedule,
-    journal: Mutex<Vec<JournalEntry>>,
-    seq: AtomicU64,
-    /// Remaining operations in an open [`Fault::Unavailable`] window.
-    unavailable: AtomicU64,
-    /// Virtual microseconds parked in [`StoreBackend::backoff_wait`] or
-    /// charged by latency faults — the timing-free stand-in for sleeping.
-    waited: AtomicU64,
-}
-
-impl FaultBackend {
-    /// A fault-free in-memory backend.
-    pub fn new() -> Self {
-        FaultBackend::default()
-    }
-
-    /// A backend with `rules` pre-scheduled.
-    pub fn with_rules(rules: impl IntoIterator<Item = FaultRule>) -> Self {
-        let b = FaultBackend::new();
-        for r in rules {
-            b.inject(r);
-        }
-        b
-    }
-
-    /// Schedule one more fault rule.
-    pub fn inject(&self, rule: FaultRule) {
-        self.rules.inject(rule);
-    }
-
-    /// Drop all scheduled (fired or not) rules and close any open
-    /// unavailability window.
-    pub fn clear_rules(&self) {
-        self.rules.clear();
-        self.unavailable.store(0, Ordering::Relaxed);
-    }
-
-    /// How many scheduled rules have fired.
-    pub fn faults_fired(&self) -> usize {
-        self.rules.fired()
-    }
-
-    /// Total virtual time parked in backoff waits or charged by
-    /// latency/slow-read faults — what a wall clock would have measured
-    /// had the backend really slept.
-    pub fn virtual_waited(&self) -> Duration {
-        Duration::from_micros(self.waited.load(Ordering::Relaxed))
-    }
-
-    /// The operation journal so far.
-    pub fn journal(&self) -> Vec<JournalEntry> {
-        self.journal.lock().unwrap().clone()
-    }
-
-    /// Every path currently stored, in sorted order.
-    pub fn paths(&self) -> Vec<PathBuf> {
-        self.files.lock().unwrap().keys().cloned().collect()
-    }
-
-    /// Raw bytes at `path`, bypassing faults and the journal.
-    pub fn read_raw(&self, path: &Path) -> Option<Vec<u8>> {
-        self.files
-            .lock()
-            .unwrap()
-            .get(path)
-            .map(|f| f.bytes.clone())
-    }
-
-    /// Insert `bytes` at `path` directly (mtime now), bypassing faults
-    /// and the journal — for constructing post-crash states in tests.
-    pub fn insert_raw(&self, path: &Path, bytes: &[u8]) {
-        self.files.lock().unwrap().insert(
-            path.to_path_buf(),
-            MemFile {
-                bytes: bytes.to_vec(),
-                mtime: SystemTime::now(),
-            },
-        );
-    }
-
-    /// Set `path`'s mtime exactly; `false` when absent.
-    pub fn set_mtime(&self, path: &Path, mtime: SystemTime) -> bool {
-        match self.files.lock().unwrap().get_mut(path) {
-            Some(f) => {
-                f.mtime = mtime;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Back-date `path`'s mtime by `by` — the no-sleep way to make a
-    /// lease stale or an orphan old. `false` when absent.
-    pub fn age(&self, path: &Path, by: Duration) -> bool {
-        self.set_mtime(path, SystemTime::now() - by)
-    }
-
-    /// The service-level fault semantics every operation shares, ahead
-    /// of the op-specific faults: an open unavailability window fails
-    /// the operation outright; transient/latency faults error
-    /// retryably; slow reads are charged to the virtual clock and let
-    /// through. `Ok(Some(..))` is an op-specific fault (crash, torn
-    /// write, visibility) the caller must stage itself.
-    fn gate(&self, op: FaultOp, path: &Path) -> Result<Option<Fault>, io::Error> {
-        let in_window = self
-            .unavailable
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if in_window {
-            return Err(self.injected(op, path, Fault::Unavailable(0), io::ErrorKind::TimedOut));
-        }
-        match self.rules.check(op, path) {
-            Some(f @ Fault::Transient) => {
-                Err(self.injected(op, path, f, io::ErrorKind::WouldBlock))
-            }
-            Some(f @ Fault::Latency(ms)) => {
-                self.waited
-                    .fetch_add(ms.saturating_mul(1000), Ordering::Relaxed);
-                Err(self.injected(op, path, f, io::ErrorKind::TimedOut))
-            }
-            Some(f @ Fault::Unavailable(n)) => {
-                self.unavailable.store(n as u64, Ordering::Relaxed);
-                Err(self.injected(op, path, f, io::ErrorKind::TimedOut))
-            }
-            Some(Fault::SlowRead) => {
-                // A nominal 25 ms of replica lag, charged not slept.
-                self.waited.fetch_add(25_000, Ordering::Relaxed);
-                self.record(op, path, Some(Fault::SlowRead), true);
-                Ok(None)
-            }
-            other => Ok(other),
-        }
-    }
-
-    fn record(&self, op: FaultOp, path: &Path, fault: Option<Fault>, ok: bool) {
-        self.journal.lock().unwrap().push(JournalEntry {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            op,
-            path: path.to_path_buf(),
-            fault,
-            ok,
-        });
-    }
-
-    fn injected(&self, op: FaultOp, path: &Path, fault: Fault, kind: io::ErrorKind) -> io::Error {
-        self.record(op, path, Some(fault), false);
-        io::Error::new(
-            kind,
-            format!("injected fault: {} on {}", fault.tag(), op.tag()),
-        )
-    }
-}
-
-impl StoreBackend for FaultBackend {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn ensure_dir(&self, _dir: &Path) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let op = FaultOp::Publish;
-        match self.gate(op, path)? {
-            Some(f @ (Fault::CrashBeforeRename | Fault::TornWrite(_))) => {
-                // The staged temp sibling survives the crash; the final
-                // path is untouched (publish stays atomic even when the
-                // writer dies).
-                let staged = match f {
-                    Fault::TornWrite(n) => &bytes[..n.min(bytes.len())],
-                    _ => bytes,
-                };
-                let tmp =
-                    path.with_file_name(format!(".tmp-crash-{}", self.seq.load(Ordering::Relaxed)));
-                self.insert_raw(&tmp, staged);
-                return Err(self.injected(op, path, f, io::ErrorKind::Other));
-            }
-            Some(f) => return Err(self.injected(op, path, f, io::ErrorKind::Other)),
-            None => {}
-        }
-        self.insert_raw(path, bytes);
-        self.record(op, path, None, true);
-        Ok(())
-    }
-
-    fn claim(&self, path: &Path, content: &[u8]) -> io::Result<()> {
-        let op = FaultOp::Claim;
-        let fault = self.gate(op, path)?;
-        let mut files = self.files.lock().unwrap();
-        if files.contains_key(path) {
-            drop(files);
-            self.record(op, path, None, false);
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("lease exists: {}", path.display()),
-            ));
-        }
-        if let Some(Fault::TornWrite(n)) = fault {
-            // The claimant won the create but died mid-write: the file
-            // exists under the claimed name with a content prefix only.
-            files.insert(
-                path.to_path_buf(),
-                MemFile {
-                    bytes: content[..n.min(content.len())].to_vec(),
-                    mtime: SystemTime::now(),
-                },
-            );
-            drop(files);
-            return Err(self.injected(op, path, Fault::TornWrite(n), io::ErrorKind::Other));
-        }
-        if let Some(f) = fault {
-            drop(files);
-            return Err(self.injected(op, path, f, io::ErrorKind::Other));
-        }
-        files.insert(
-            path.to_path_buf(),
-            MemFile {
-                bytes: content.to_vec(),
-                mtime: SystemTime::now(),
-            },
-        );
-        drop(files);
-        self.record(op, path, None, true);
-        Ok(())
-    }
-
-    fn entomb(&self, path: &Path, tomb: &Path) -> io::Result<()> {
-        let op = FaultOp::Entomb;
-        let fault = self.gate(op, path)?;
-        let mut files = self.files.lock().unwrap();
-        let Some(file) = files.remove(path) else {
-            drop(files);
-            self.record(op, path, None, false);
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("entomb source missing: {}", path.display()),
-            ));
-        };
-        files.insert(tomb.to_path_buf(), file);
-        drop(files);
-        if let Some(f @ Fault::CrashAfterEntomb) = fault {
-            // The rename is applied — the challenger died before it
-            // could read the tomb and re-create the lease.
-            return Err(self.injected(op, path, f, io::ErrorKind::Other));
-        }
-        if let Some(f) = fault {
-            return Err(self.injected(op, path, f, io::ErrorKind::Other));
-        }
-        self.record(op, path, None, true);
-        Ok(())
-    }
-
-    fn load(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let op = FaultOp::Load;
-        match self.gate(op, path)? {
-            Some(f @ Fault::Invisible) => {
-                return Err(self.injected(op, path, f, io::ErrorKind::NotFound))
-            }
-            Some(Fault::TornRead(n)) => {
-                let files = self.files.lock().unwrap();
-                let Some(file) = files.get(path) else {
-                    drop(files);
-                    self.record(op, path, Some(Fault::TornRead(n)), false);
-                    return Err(io::Error::new(io::ErrorKind::NotFound, "no such file"));
-                };
-                let torn = file.bytes[..n.min(file.bytes.len())].to_vec();
-                drop(files);
-                self.record(op, path, Some(Fault::TornRead(n)), true);
-                return Ok(torn);
-            }
-            Some(f) => return Err(self.injected(op, path, f, io::ErrorKind::Other)),
-            None => {}
-        }
-        let files = self.files.lock().unwrap();
-        match files.get(path) {
-            Some(file) => {
-                let bytes = file.bytes.clone();
-                drop(files);
-                self.record(op, path, None, true);
-                Ok(bytes)
-            }
-            None => {
-                drop(files);
-                self.record(op, path, None, false);
-                Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no such file: {}", path.display()),
-                ))
-            }
-        }
-    }
-
-    fn contains(&self, path: &Path) -> bool {
-        self.files.lock().unwrap().contains_key(path)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        let op = FaultOp::Remove;
-        let _ = self.gate(op, path)?;
-        let removed = self.files.lock().unwrap().remove(path).is_some();
-        self.record(op, path, None, removed);
-        if removed {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such file: {}", path.display()),
-            ))
-        }
-    }
-
-    fn refresh(&self, path: &Path) -> io::Result<()> {
-        let op = FaultOp::Refresh;
-        let _ = self.gate(op, path)?;
-        let refreshed = self.set_mtime(path, SystemTime::now());
-        self.record(op, path, None, refreshed);
-        if refreshed {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such file: {}", path.display()),
-            ))
-        }
-    }
-
-    fn mtime(&self, path: &Path) -> io::Result<SystemTime> {
-        self.files
-            .lock()
-            .unwrap()
-            .get(path)
-            .map(|f| f.mtime)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))
-    }
-
-    fn list(&self, dir: &Path, recursive: bool) -> io::Result<Vec<FileMeta>> {
-        let files = self.files.lock().unwrap();
-        Ok(files
-            .iter()
-            .filter(|(p, _)| {
-                if recursive {
-                    p.starts_with(dir) && p.as_path() != dir
-                } else {
-                    p.parent() == Some(dir)
-                }
-            })
-            .map(|(p, f)| FileMeta {
-                path: p.clone(),
-                len: f.bytes.len() as u64,
-                mtime: f.mtime,
-            })
-            .collect())
-    }
-
-    fn backoff_wait(&self, pause: Duration) {
-        // Nothing real to wait for: charge the virtual clock so retry
-        // schedules stay observable without costing wall-clock.
-        self.waited
-            .fetch_add(pause.as_micros() as u64, Ordering::Relaxed);
-    }
-}
-
-/// A deterministic pseudo-random schedule of *recoverable* faults
-/// (transient errors, delayed visibility, torn reads) for soak testing:
-/// the same `seed` always yields the same schedule, so a failing soak
-/// iteration reproduces exactly from its printed seed. Crash faults are
-/// deliberately excluded — an injected crash aborts the injected-into
-/// shard's operation but not its process, which is a different scenario
-/// than the crash matrix constructs; recoverable faults must never
-/// change a campaign's report, only its wall-clock.
-pub fn recoverable_schedule(seed: u64, rules: usize) -> Vec<FaultRule> {
-    // xorshift must not start at 0; xor with an odd constant keeps
-    // adjacent seeds distinct (a plain `| 1` would alias 2k with 2k+1).
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    if state == 0 {
-        state = 0x2545_F491_4F6C_DD1D;
-    }
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..rules)
-        .map(|_| {
-            let op = match next() % 4 {
-                0 => FaultOp::Load,
-                1 => FaultOp::Publish,
-                2 => FaultOp::Claim,
-                _ => FaultOp::Refresh,
-            };
-            let fault = match (next() % 6, op) {
-                // Visibility, torn and slow reads only make sense on loads.
-                (0, FaultOp::Load) => Fault::Invisible,
-                (1, FaultOp::Load) => Fault::TornRead((next() % 24) as usize),
-                (2, FaultOp::Load) => Fault::SlowRead,
-                // Short windows only: the retry budget (4 attempts by
-                // default) must be able to outlast an injected outage,
-                // or the soak would assert on a legitimate degradation.
-                (3, _) => Fault::Unavailable(1 + (next() % 2) as usize),
-                (4, _) => Fault::Latency(1 + next() % 40),
-                _ => Fault::Transient,
-            };
-            let path_contains = match next() % 3 {
-                0 => ".lease",
-                1 => ".bin",
-                _ => "",
-            };
-            FaultRule::on(op, path_contains, fault).after((next() % 6) as usize)
-        })
-        .collect()
-}
-
-/// The process-global registry behind the `memory` value of
-/// [`STORE_BACKEND_ENV`]: every store root maps to one shared
-/// [`FaultBackend`] (no faults scheduled), so the N shard handles a test
-/// opens on one directory cooperate exactly as N `LocalDirBackend`
-/// handles would on a real directory.
-pub fn memory_backend_for(root: &Path) -> Arc<FaultBackend> {
-    static ROOTS: OnceLock<Mutex<BTreeMap<PathBuf, Arc<FaultBackend>>>> = OnceLock::new();
-    ROOTS
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap()
-        .entry(root.to_path_buf())
-        .or_default()
-        .clone()
-}
-
 /// The backend selected by [`STORE_BACKEND_ENV`] for a store rooted at
-/// `root`: `local`/unset → [`LocalDirBackend`], `memory` → the shared
-/// [`memory_backend_for`] registry entry, `object` → the shared
-/// [`crate::object_backend_for`] registry entry. Malformed values warn
-/// (via [`crate::env`]) and fall back to `local`.
+/// `root`: `local`/unset → [`LocalDirBackend`], `object` (or its alias
+/// `memory`) → the shared [`crate::object_backend_for`] registry entry.
+/// Malformed values warn (via [`crate::env`]) and fall back to `local`.
 pub fn backend_from_env(root: &Path) -> Arc<dyn StoreBackend> {
     match crate::env::knob_validated::<String>(
         STORE_BACKEND_ENV,
@@ -978,8 +324,7 @@ pub fn backend_from_env(root: &Path) -> Arc<dyn StoreBackend> {
     )
     .as_deref()
     {
-        Some("memory") => memory_backend_for(root),
-        Some("object") => crate::object::object_backend_for(root),
+        Some("object" | "memory") => crate::object::object_backend_for(root),
         _ => Arc::new(LocalDirBackend::new()),
     }
 }
@@ -1004,10 +349,6 @@ mod tests {
             (
                 Arc::new(LocalDirBackend::new()) as Arc<dyn StoreBackend>,
                 local_root,
-            ),
-            (
-                Arc::new(FaultBackend::new()) as Arc<dyn StoreBackend>,
-                PathBuf::from("/virtual/backend-test"),
             ),
             (
                 Arc::new(crate::object::ObjectStoreBackend::new()) as Arc<dyn StoreBackend>,
@@ -1140,170 +481,5 @@ mod tests {
             assert!(missing.is_empty());
             let _ = fs::remove_dir_all(&root);
         }
-    }
-
-    #[test]
-    fn fault_rules_fire_once_in_schedule_order() {
-        let b = FaultBackend::with_rules([
-            FaultRule::on(FaultOp::Load, ".bin", Fault::Transient),
-            FaultRule::on(FaultOp::Load, ".bin", Fault::Invisible).after(1),
-        ]);
-        let path = Path::new("/v/x.bin");
-        b.publish(path, b"payload").unwrap();
-        // 1st load: transient. 2nd: the second rule has skipped one
-        // match, so it fires invisible. 3rd: clean.
-        assert_eq!(b.load(path).unwrap_err().kind(), io::ErrorKind::WouldBlock);
-        assert_eq!(b.load(path).unwrap_err().kind(), io::ErrorKind::NotFound);
-        assert_eq!(b.load(path).unwrap(), b"payload");
-        assert_eq!(b.faults_fired(), 2);
-        let journal = b.journal();
-        assert_eq!(journal.len(), 4); // publish + 3 loads
-        assert_eq!(journal[1].fault, Some(Fault::Transient));
-        assert_eq!(journal[2].fault, Some(Fault::Invisible));
-        assert!(journal[3].ok && journal[3].fault.is_none());
-    }
-
-    #[test]
-    fn crash_before_rename_leaves_an_orphan_tmp_not_a_torn_entry() {
-        let b = FaultBackend::with_rules([FaultRule::on(
-            FaultOp::Publish,
-            "entry.bin",
-            Fault::CrashBeforeRename,
-        )]);
-        let path = Path::new("/v/objects/entry.bin");
-        assert!(b.publish(path, b"payload").is_err());
-        assert!(!b.contains(path), "final path untouched by the crash");
-        let orphans: Vec<_> = b
-            .paths()
-            .into_iter()
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(".tmp-"))
-            })
-            .collect();
-        assert_eq!(orphans.len(), 1, "crash leaves exactly the staged temp");
-        // Retried publish (no fault left) succeeds.
-        b.publish(path, b"payload").unwrap();
-        assert_eq!(b.load(path).unwrap(), b"payload");
-    }
-
-    #[test]
-    fn torn_claim_leaves_a_partial_lease_file() {
-        let b = FaultBackend::with_rules([FaultRule::on(
-            FaultOp::Claim,
-            ".lease",
-            Fault::TornWrite(7),
-        )]);
-        let path = Path::new("/v/objects/x.lease");
-        assert!(b.claim(path, b"gnnunlock-lease owner=a gen=0\n").is_err());
-        assert_eq!(b.read_raw(path).unwrap(), b"gnnunlo");
-        // The torn file *exists*: a later claimant must see AlreadyExists.
-        let err = b.claim(path, b"other\n").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
-    }
-
-    #[test]
-    fn crash_after_entomb_applies_the_rename_then_errors() {
-        let b = FaultBackend::with_rules([FaultRule::on(
-            FaultOp::Entomb,
-            ".lease",
-            Fault::CrashAfterEntomb,
-        )]);
-        let path = Path::new("/v/objects/x.lease");
-        let tomb = Path::new("/v/objects/x.lease.tomb-1-0");
-        b.claim(path, b"victim\n").unwrap();
-        assert!(b.entomb(path, tomb).is_err());
-        assert!(!b.contains(path), "lease gone: the rename was applied");
-        assert_eq!(b.read_raw(tomb).unwrap(), b"victim\n");
-    }
-
-    #[test]
-    fn seeded_schedules_are_deterministic_and_recoverable_only() {
-        let a = recoverable_schedule(42, 8);
-        let b = recoverable_schedule(42, 8);
-        assert_eq!(a.len(), 8);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.op, y.op);
-            assert_eq!(x.fault, y.fault);
-            assert_eq!(x.path_contains, y.path_contains);
-            assert_eq!(x.skip, y.skip);
-        }
-        let c = recoverable_schedule(43, 8);
-        assert!(
-            a.iter()
-                .zip(&c)
-                .any(|(x, y)| x.op != y.op || x.fault != y.fault || x.skip != y.skip),
-            "different seeds must differ"
-        );
-        for r in a.iter().chain(&c) {
-            assert!(
-                r.fault.recoverable(),
-                "soak schedules must stay recoverable: {:?}",
-                r.fault
-            );
-            if let Fault::Unavailable(n) = r.fault {
-                assert!(
-                    n <= 2,
-                    "soak outage windows must stay inside the default retry budget"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn latency_fault_errs_timed_out_and_charges_the_virtual_clock() {
-        let b = FaultBackend::with_rules([FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(7))]);
-        let path = Path::new("/v/x.bin");
-        b.publish(path, b"payload").unwrap();
-        let err = b.load(path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert_eq!(b.virtual_waited(), Duration::from_millis(7));
-        // The retry succeeds and a backoff wait is charged, not slept.
-        b.backoff_wait(Duration::from_millis(13));
-        assert_eq!(b.load(path).unwrap(), b"payload");
-        assert_eq!(b.virtual_waited(), Duration::from_millis(20));
-    }
-
-    #[test]
-    fn unavailable_fault_opens_a_window_over_every_operation() {
-        let b = FaultBackend::with_rules([FaultRule::on(FaultOp::Load, "", Fault::Unavailable(2))]);
-        let path = Path::new("/v/x.bin");
-        b.publish(path, b"payload").unwrap();
-        // The matched load fails and opens a 2-op window: the next two
-        // operations — whatever their kind or path — fail too.
-        assert_eq!(b.load(path).unwrap_err().kind(), io::ErrorKind::TimedOut);
-        assert_eq!(
-            b.publish(Path::new("/v/y.bin"), b"z").unwrap_err().kind(),
-            io::ErrorKind::TimedOut
-        );
-        assert_eq!(b.refresh(path).unwrap_err().kind(), io::ErrorKind::TimedOut);
-        // Window exhausted: service back.
-        assert_eq!(b.load(path).unwrap(), b"payload");
-        // clear_rules also closes a half-consumed window.
-        b.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(9)));
-        assert!(b.load(path).is_err());
-        b.clear_rules();
-        assert_eq!(b.load(path).unwrap(), b"payload");
-    }
-
-    #[test]
-    fn slow_read_succeeds_with_full_bytes_but_is_charged() {
-        let b = FaultBackend::with_rules([FaultRule::on(FaultOp::Load, ".bin", Fault::SlowRead)]);
-        let path = Path::new("/v/x.bin");
-        b.publish(path, b"payload").unwrap();
-        assert_eq!(b.load(path).unwrap(), b"payload");
-        assert!(b.virtual_waited() > Duration::ZERO);
-        assert_eq!(b.faults_fired(), 1);
-    }
-
-    #[test]
-    fn memory_registry_shares_one_backend_per_root() {
-        let a = memory_backend_for(Path::new("/reg/alpha"));
-        let b = memory_backend_for(Path::new("/reg/alpha"));
-        let c = memory_backend_for(Path::new("/reg/beta"));
-        a.publish(Path::new("/reg/alpha/x.bin"), b"shared").unwrap();
-        assert_eq!(b.load(Path::new("/reg/alpha/x.bin")).unwrap(), b"shared");
-        assert!(!c.contains(Path::new("/reg/alpha/x.bin")));
     }
 }

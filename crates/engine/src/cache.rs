@@ -12,9 +12,9 @@
 //! The disk tier inherits its [`crate::StoreBackend`] from the attached
 //! [`DiskStore`]: every persist and disk probe goes through the store's
 //! backend, so a cache built on a [`DiskStore::open_with_backend`]
-//! handle (or under `GNNUNLOCK_STORE_BACKEND=memory`) runs entirely
-//! against that backend with no cache-side plumbing — including fault
-//! injection via [`crate::FaultBackend`], which the cache tolerates the
+//! handle (or under `GNNUNLOCK_STORE_BACKEND=object`) runs entirely
+//! against that backend with no cache-side plumbing — including faults
+//! injected by a [`crate::Faulty`] backend, which the cache tolerates the
 //! same way it tolerates real I/O errors: persistence is best-effort,
 //! the memory tier stays authoritative.
 

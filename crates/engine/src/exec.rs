@@ -803,7 +803,7 @@ mod tests {
         let mut g = JobGraph::new();
         let a = g.add("a", JobKind::Lock, None, vec![], |_| Err("boom".into()));
         let b = g.add("b", JobKind::Train, None, vec![a], |_| Ok(val(1)));
-        let c = g.add("c", JobKind::Attack, None, vec![b], |_| Ok(val(2)));
+        let c = g.add("c", JobKind::Classify, None, vec![b], |_| Ok(val(2)));
         let ok = g.add("ok", JobKind::Lock, None, vec![], |_| Ok(val(3)));
         let exec = Executor::new(ExecConfig::with_workers(4));
         let out = exec.run(g);
@@ -837,7 +837,7 @@ mod tests {
             Ok(val(1))
         });
         let b = g.add("b", JobKind::Train, None, vec![a], |_| Ok(val(2)));
-        let c = g.add("c", JobKind::Attack, None, vec![b], |_| Ok(val(3)));
+        let c = g.add("c", JobKind::Classify, None, vec![b], |_| Ok(val(3)));
         let out = exec.run(g);
         assert_eq!(out.stats.executed, 1);
         assert_eq!(out.stats.cancelled, 2);
@@ -871,7 +871,7 @@ mod tests {
             let boom = g.add("boom", JobKind::Train, None, vec![], |_| {
                 panic!("kaboom {}", 42);
             });
-            let child = g.add("child", JobKind::Attack, None, vec![boom], |_| Ok(val(1)));
+            let child = g.add("child", JobKind::Classify, None, vec![boom], |_| Ok(val(1)));
             let ok = g.add("ok", JobKind::Lock, None, vec![], |_| Ok(val(2)));
             let out = Executor::new(ExecConfig::with_workers(workers)).run(g);
             match &out.records[boom.index()].status {
@@ -899,7 +899,7 @@ mod tests {
         let boom = g.add("boom", JobKind::Train, None, vec![ok], |_| {
             panic!("exploded in flight");
         });
-        g.add("child", JobKind::Attack, None, vec![boom], |_| Ok(val(2)));
+        g.add("child", JobKind::Classify, None, vec![boom], |_| Ok(val(2)));
         let out = exec.run(g);
         assert_eq!(out.stats.failed, 1);
 

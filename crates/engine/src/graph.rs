@@ -43,8 +43,6 @@ pub enum JobKind {
     Train,
     /// Classify + post-process one locked instance with a trained model.
     Classify,
-    /// Whole-benchmark attack (classify every instance of a target).
-    Attack,
     /// Delete the predicted protection logic, recovering a design.
     Remove,
     /// SAT-verify a recovered design.
@@ -67,7 +65,6 @@ impl JobKind {
             JobKind::TrainEpoch => "train-epoch",
             JobKind::Train => "train",
             JobKind::Classify => "classify",
-            JobKind::Attack => "attack",
             JobKind::Remove => "remove",
             JobKind::Verify => "verify",
             JobKind::Aggregate => "aggregate",
@@ -77,7 +74,7 @@ impl JobKind {
 
     /// Every built-in stage kind, in pipeline order (used for per-stage
     /// report aggregation; `Custom` kinds are appended dynamically).
-    pub const BUILTIN: [JobKind; 12] = [
+    pub const BUILTIN: [JobKind; 11] = [
         JobKind::Parse,
         JobKind::Lock,
         JobKind::Synth,
@@ -86,7 +83,6 @@ impl JobKind {
         JobKind::TrainEpoch,
         JobKind::Train,
         JobKind::Classify,
-        JobKind::Attack,
         JobKind::Remove,
         JobKind::Verify,
         JobKind::Aggregate,

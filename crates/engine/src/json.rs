@@ -10,6 +10,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a line of `[`s from the
+/// network overflows the parsing thread's stack; every document the
+/// engine and daemon exchange nests well under a dozen levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value with deterministic (insertion-ordered) objects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -145,10 +151,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the first array/object nested deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -187,6 +198,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +237,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let nested = if self.bytes[self.pos] == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -434,6 +458,22 @@ mod tests {
         assert!(Json::parse("\"\\ud83d\\u0041\"").is_err());
         assert!(Json::parse("\"\\ud83dxx\"").is_err());
         assert!(Json::parse("\"\\ud83d\"").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth_instead_of_overflowing_the_stack() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        let deep_obj = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&deep_obj)
+            .unwrap_err()
+            .contains("nesting too deep"));
+        // The limit itself still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -66,6 +66,7 @@ mod codec;
 pub mod env;
 mod events;
 mod exec;
+mod fault;
 mod graph;
 mod json;
 mod lease;
@@ -77,10 +78,7 @@ pub mod resilience;
 mod shard;
 mod store;
 
-pub use backend::{
-    backend_from_env, memory_backend_for, recoverable_schedule, Fault, FaultBackend, FaultOp,
-    FaultRule, FileMeta, JournalEntry, LocalDirBackend, StoreBackend, STORE_BACKEND_ENV,
-};
+pub use backend::{backend_from_env, FileMeta, LocalDirBackend, StoreBackend, STORE_BACKEND_ENV};
 pub use cache::{CacheSource, CacheStats, ResultCache};
 pub use campaign::{Campaign, CampaignBuilder, CampaignRun, CampaignRunner, ResumeInfo, StageJob};
 pub use cancel::CancelToken;
@@ -94,6 +92,7 @@ pub use events::{Event, EventLog, LogTail, Replay, EVENTS_ENV, EVENTS_FILE};
 pub use exec::{
     AfterJobHook, ExecConfig, Executor, JobRecord, JobStatus, RunOutcome, RunStats, StageSummary,
 };
+pub use fault::{recoverable_schedule, Fault, FaultOp, FaultRule, Faulty, JournalEntry};
 pub use graph::{
     fingerprint, fingerprint_fields, JobCtx, JobGraph, JobId, JobKind, JobOutput, JobValue,
 };

@@ -3,17 +3,18 @@
 //!
 //! [`crate::DiskStore::open_opts`] wraps whatever backend it is handed
 //! in a [`ResilientBackend`], so the policy below applies uniformly to
-//! `local`, `memory` and `object` substrates:
+//! the `local` and `object` substrates and to any [`crate::Faulty`]
+//! decoration of them:
 //!
 //! - **[`RetryPolicy`]** — transient failures ([`io::ErrorKind::WouldBlock`],
 //!   `Interrupted`, `TimedOut`) retry with exponential backoff and
 //!   seeded jitter. The backoff schedule is a pure function of the
 //!   knobs and the attempt number — same knobs, same waits, at any
 //!   worker count — and every pause goes through
-//!   [`StoreBackend::backoff_wait`], so deterministic backends charge a
-//!   virtual clock instead of sleeping. A per-op deadline bounds the
-//!   total (virtual) pause budget; attempts and deadline are capped by
-//!   the `GNNUNLOCK_STORE_RETRY_*` knobs.
+//!   [`StoreBackend::backoff_wait`], so a [`crate::Faulty`] backend
+//!   charges a virtual clock instead of sleeping. A per-op deadline
+//!   bounds the total (virtual) pause budget; attempts and deadline are
+//!   capped by the `GNNUNLOCK_STORE_RETRY_*` knobs.
 //! - **[`HealthTracker`]** — a consecutive-failure circuit breaker.
 //!   Only *exhausted* retries count as failures (verdict errors like
 //!   `AlreadyExists` or `NotFound` prove the service is answering);
@@ -486,7 +487,8 @@ impl StoreBackend for ResilientBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Fault, FaultBackend, FaultOp, FaultRule};
+    use crate::fault::{Fault, FaultOp, FaultRule, Faulty};
+    use crate::object::ObjectStoreBackend;
 
     fn policy() -> RetryPolicy {
         RetryPolicy::default()
@@ -512,10 +514,13 @@ mod tests {
 
     #[test]
     fn transient_errors_retry_timing_free_until_success() {
-        let b = FaultBackend::with_rules([
-            FaultRule::on(FaultOp::Load, ".bin", Fault::Transient),
-            FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(5)).after(1),
-        ]);
+        let b = Faulty::with_rules(
+            ObjectStoreBackend::new(),
+            [
+                FaultRule::on(FaultOp::Load, ".bin", Fault::Transient),
+                FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(5)).after(1),
+            ],
+        );
         let path = Path::new("/v/x.bin");
         b.publish(path, b"payload").unwrap();
         let got = policy()
@@ -528,7 +533,7 @@ mod tests {
 
     #[test]
     fn verdict_errors_are_never_retried() {
-        let b = FaultBackend::new();
+        let b = Faulty::new(ObjectStoreBackend::new());
         let path = Path::new("/v/x.lease");
         b.claim(path, b"mine").unwrap();
         let mut calls = 0;
@@ -544,7 +549,8 @@ mod tests {
 
     #[test]
     fn deadline_bounds_the_summed_pauses() {
-        let b = FaultBackend::with_rules(
+        let b = Faulty::with_rules(
+            ObjectStoreBackend::new(),
             (0..8).map(|i| FaultRule::on(FaultOp::Load, "", Fault::Transient).after(i)),
         );
         b.publish(Path::new("/v/x"), b"p").unwrap();
@@ -590,7 +596,7 @@ mod tests {
 
     #[test]
     fn degraded_backend_fails_fast_and_spills_publishes() {
-        let inner = Arc::new(FaultBackend::new());
+        let inner = Arc::new(Faulty::new(ObjectStoreBackend::new()));
         // A long outage: every gated operation times out.
         inner.inject(FaultRule::on(
             FaultOp::Load,
@@ -627,7 +633,10 @@ mod tests {
         }
         assert!(!wrapped.degraded(), "breaker must close after a probe");
         assert_eq!(wrapped.spilled(), 0, "spill drains on recovery");
-        assert_eq!(inner.read_raw(Path::new("/v/x.bin")).unwrap(), b"payload");
+        assert_eq!(
+            inner.inner().load(Path::new("/v/x.bin")).unwrap(),
+            b"payload"
+        );
         // All of the above ran timing-free.
         assert_eq!(wrapped.health().trips(), 1, "one trip for the whole outage");
     }

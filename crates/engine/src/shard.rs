@@ -96,9 +96,8 @@ pub struct ShardConfig {
     pub namespace: Option<String>,
     /// Store backend this shard executes against. `None` (the default)
     /// resolves via [`crate::STORE_BACKEND_ENV`] — the local filesystem
-    /// unless overridden. Tests pass a shared [`crate::FaultBackend`]
-    /// here to run whole sharded campaigns in memory under injected
-    /// faults.
+    /// unless overridden. Tests pass a shared [`crate::Faulty`] backend
+    /// here to run whole sharded campaigns under injected faults.
     pub backend: Option<Arc<dyn StoreBackend>>,
 }
 

@@ -1155,8 +1155,8 @@ mod tests {
     /// lone transient evicted a good entry.
     #[test]
     fn transient_load_errors_do_not_evict() {
-        use crate::backend::{Fault, FaultBackend, FaultOp, FaultRule};
-        let backend = Arc::new(FaultBackend::new());
+        use crate::fault::{Fault, FaultOp, FaultRule, Faulty};
+        let backend = Arc::new(Faulty::new(crate::ObjectStoreBackend::new()));
         let store =
             DiskStore::open_with_backend(Path::new("/virtual/transient"), "", backend.clone())
                 .unwrap();
@@ -1180,11 +1180,10 @@ mod tests {
     }
 
     /// The whole store surface works identically over the in-memory
-    /// backend: version gate, round trip, corruption eviction, GC.
+    /// object backend: version gate, round trip, corruption eviction, GC.
     #[test]
     fn memory_backend_round_trips_and_gcs() {
-        use crate::backend::FaultBackend;
-        let backend = Arc::new(FaultBackend::new());
+        let backend = Arc::new(crate::ObjectStoreBackend::new());
         let root = Path::new("/virtual/mem-store");
         let store = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
         store.save(JobKind::Train, 42, b"payload").unwrap();
@@ -1199,10 +1198,10 @@ mod tests {
 
         // Corrupt in place: evicted on load.
         let path = store.entry_path(JobKind::Train, 42);
-        let mut bytes = backend.read_raw(&path).unwrap();
+        let mut bytes = backend.load(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        backend.insert_raw(&path, &bytes);
+        backend.publish(&path, &bytes).unwrap();
         assert!(store.load(JobKind::Train, 42).is_none());
         assert!(!backend.contains(&path), "corrupt entry evicted");
 

@@ -3,8 +3,9 @@
 //! wins publish, exactly-one-winner claim, rename/swap-arbitrated
 //! takeover, and usage accounting that never bills in-flight protocol
 //! blobs. The `conformance_*` tests below run each obligation against
-//! all three implementations (`local` directories, the in-memory
-//! `FaultBackend`, the conditional-put `ObjectStoreBackend`) in one
+//! both implementations (`local` directories, the conditional-put
+//! `ObjectStoreBackend`) plus the object store behind a rule-less
+//! `Faulty` decorator — proving the decorator transparent — in one
 //! process, so a contract regression names the offending backend.
 //!
 //! The two env-driven smokes at the bottom additionally run the *same
@@ -15,8 +16,8 @@
 
 use gnnunlock_engine::{
     execution_counts, shard_replays, tenant_usage_with, Campaign, CampaignRunner, DiskStore,
-    ExecConfig, FaultBackend, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend,
-    ObjectStoreBackend, ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec,
+    ExecConfig, Faulty, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend, ObjectStoreBackend,
+    ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -63,22 +64,22 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The three implementations under conformance, each with a root unique
-/// to `tag`: `local` needs a real temp directory; the virtual backends
-/// use absolute virtual paths.
+/// The backends under conformance, each with a root unique to `tag`:
+/// `local` needs a real temp directory; the object backends use
+/// absolute virtual paths.
 fn conformance_backends(tag: &str) -> Vec<(&'static str, Arc<dyn StoreBackend>, PathBuf)> {
     let local_root = tmp_dir(&format!("conf-{tag}-local"));
     std::fs::create_dir_all(&local_root).unwrap();
     vec![
         ("local", Arc::new(LocalDirBackend::new()), local_root),
         (
-            "memory",
-            Arc::new(FaultBackend::new()),
-            PathBuf::from(format!("/virtual/conformance/{tag}")),
-        ),
-        (
             "object",
             Arc::new(ObjectStoreBackend::new()),
+            PathBuf::from(format!("/bucket/conformance/{tag}")),
+        ),
+        (
+            "faulty-object",
+            Arc::new(Faulty::new(ObjectStoreBackend::new())),
             PathBuf::from(format!("/bucket/conformance/{tag}")),
         ),
     ]

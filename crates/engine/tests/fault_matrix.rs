@@ -1,28 +1,31 @@
 //! The deterministic crash/takeover matrix: every crash window of the
-//! claim/publish/takeover/heartbeat protocol, reproduced in memory on a
-//! [`FaultBackend`] with no sleeps, no SIGKILL choreography and no
-//! timing dependence (`tests/sharded.rs` keeps one real-process SIGKILL
-//! test as smoke).
+//! claim/publish/takeover/heartbeat protocol, reproduced through the
+//! [`Faulty`] fault-injection decorator with no sleeps, no SIGKILL
+//! choreography and no timing dependence (`tests/sharded.rs` keeps one
+//! real-process SIGKILL test as smoke). Most scenarios run on
+//! `Faulty<ObjectStoreBackend>`, entirely in memory; the ones whose
+//! crash residue only exists on a substrate that stages writes run on
+//! `Faulty<LocalDirBackend>` over a temp directory.
 //!
 //! Strategy: each scenario *constructs* the genuine post-crash state
 //! through the real APIs — claim a lease, [`LeaseManager::abandon`] it
 //! (the deterministic stand-in for process death: files stay, heartbeat
-//! stops), back-date mtimes with [`FaultBackend::age`] instead of
-//! sleeping, or fire one injected fault — then runs clean survivor
+//! stops), back-date mtimes (`BlobService::age`) instead of sleeping,
+//! or fire one injected fault — then runs clean survivor
 //! shards over the shared backend and asserts the invariants the
 //! protocol promises: the campaign completes, the report is
 //! byte-identical to a faultless reference, no job body completes more
 //! than once, and no lease or tomb file is left wedged.
 
 use gnnunlock_engine::{
-    execution_counts, shard_replays, Campaign, CampaignRunner, Claim, DiskStore, ExecConfig, Fault,
-    FaultBackend, FaultOp, FaultRule, JobCtx, JobKind, JobOutput, JobStatus, JobValue,
-    LeaseManager, ObjectStoreBackend, ReportOptions, ShardConfig, StageJob, StoreBackend,
-    ValueCodec, DEGRADED_PREFIX,
+    execution_counts, recoverable_schedule, shard_replays, Campaign, CampaignRunner, Claim,
+    DiskStore, ExecConfig, Fault, FaultOp, FaultRule, Faulty, JobCtx, JobKind, JobOutput,
+    JobStatus, JobValue, LeaseManager, LocalDirBackend, ObjectStoreBackend, ReportOptions,
+    ShardConfig, StageJob, StoreBackend, ValueCodec, DEGRADED_PREFIX,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 /// Echo runner + string codec (mirrors the shard/campaign unit tests').
 struct Echo;
@@ -75,10 +78,40 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// An in-memory object store behind the fault decorator, `rules`
+/// pre-scheduled.
+fn faulty_object(rules: impl IntoIterator<Item = FaultRule>) -> Arc<Faulty<ObjectStoreBackend>> {
+    Arc::new(Faulty::with_rules(ObjectStoreBackend::new(), rules))
+}
+
+/// Back-date `path`'s mtime by `by` on the in-memory object store —
+/// the no-sleep way to make a lease stale or an orphan old.
+fn age(backend: &Faulty<ObjectStoreBackend>, path: &Path, by: Duration) -> bool {
+    backend.inner().service().age(path, by)
+}
+
+/// Every stored path under `dir`, in sorted order.
+fn paths(backend: &dyn StoreBackend, dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = backend
+        .list(dir, true)
+        .unwrap()
+        .into_iter()
+        .map(|m| m.path)
+        .collect();
+    out.sort();
+    out
+}
+
+fn is_protocol_file(path: &Path) -> bool {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"))
+}
+
 /// The faultless reference report every scenario's shards must match.
 fn reference_report() -> String {
     let dir = tmp_dir("reference");
-    let backend = Arc::new(FaultBackend::new());
+    let backend = Arc::new(ObjectStoreBackend::new());
     let run = toy()
         .execute_sharded(
             &Echo,
@@ -126,16 +159,12 @@ fn run_survivors<B: StoreBackend + 'static>(
     }
 }
 
-/// After a scenario: no lease still claimed, no tomb left behind.
-fn assert_no_wedged_protocol_files(backend: &FaultBackend, scenario: &str) {
-    let leftovers: Vec<_> = backend
-        .paths()
+/// After a scenario: no lease still claimed, no tomb left behind under
+/// `dir`.
+fn assert_no_wedged_protocol_files(backend: &dyn StoreBackend, dir: &Path, scenario: &str) {
+    let leftovers: Vec<_> = paths(backend, dir)
         .into_iter()
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"))
-        })
+        .filter(|p| is_protocol_file(p))
         .collect();
     assert!(
         leftovers.is_empty(),
@@ -160,9 +189,9 @@ fn assert_single_execution(dir: &std::path::Path, scenario: &str) {
 
 /// The store, lease manager and (kind, fp, lease path) of the
 /// campaign's first ready job, for pre-seeding crash states.
-fn victim_setup(
-    dir: &std::path::Path,
-    backend: &Arc<FaultBackend>,
+fn victim_setup<B: StoreBackend + 'static>(
+    dir: &Path,
+    backend: &Arc<B>,
     ttl: Duration,
 ) -> (Arc<DiskStore>, LeaseManager, JobKind, u64, PathBuf) {
     let store = Arc::new(
@@ -190,18 +219,18 @@ fn victim_setup(
 #[test]
 fn dead_owner_lease_is_taken_over_without_sleeps() {
     let dir = tmp_dir("dead-owner");
-    let backend = Arc::new(FaultBackend::new());
+    let backend = faulty_object([]);
     let ttl = Duration::from_secs(30);
     let reference = reference_report();
 
     let (_store, victim, kind, fp, lease) = victim_setup(&dir, &backend, ttl);
     assert!(matches!(victim.try_claim(kind, fp), Claim::Acquired { .. }));
     victim.abandon(); // process death: the lease file stays, unbeaten
-    assert!(backend.age(&lease, ttl * 2), "lease must exist to age");
+    assert!(age(&backend, &lease, ttl * 2), "lease must exist to age");
 
     run_survivors(&dir, &backend, 3, ttl, &reference, "dead-owner");
     assert_single_execution(&dir, "dead-owner");
-    assert_no_wedged_protocol_files(&backend, "dead-owner");
+    assert_no_wedged_protocol_files(backend.as_ref(), &dir, "dead-owner");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -212,14 +241,17 @@ fn dead_owner_lease_is_taken_over_without_sleeps() {
 #[test]
 fn interrupted_takeover_is_completed_by_the_next_claimant() {
     let dir = tmp_dir("interrupted-takeover");
-    let backend = Arc::new(FaultBackend::new());
+    let backend = faulty_object([]);
     let ttl = Duration::from_secs(30);
     let reference = reference_report();
 
     // A stale lease at generation 3 (an owner that died mid-epoch)...
     let (store, victim, kind, fp, lease) = victim_setup(&dir, &backend, ttl);
-    backend.insert_raw(&lease, b"gnnunlock-lease owner=old pid=1 gen=3\n");
-    backend.age(&lease, ttl * 2);
+    backend
+        .inner()
+        .publish(&lease, b"gnnunlock-lease owner=old pid=1 gen=3\n")
+        .unwrap();
+    age(&backend, &lease, ttl * 2);
     drop(victim);
     // ...whose takeover crashes right after the entomb rename.
     backend.inject(FaultRule::on(
@@ -230,8 +262,7 @@ fn interrupted_takeover_is_completed_by_the_next_claimant() {
     let challenger = LeaseManager::new(store.clone(), "challenger", ttl);
     assert_eq!(challenger.try_claim(kind, fp), Claim::Busy);
     challenger.abandon();
-    let tombs: Vec<_> = backend
-        .paths()
+    let tombs: Vec<_> = paths(backend.as_ref(), &dir)
         .into_iter()
         .filter(|p| p.to_string_lossy().contains(".tomb-"))
         .collect();
@@ -250,8 +281,7 @@ fn interrupted_takeover_is_completed_by_the_next_claimant() {
         "orphaned takeover must be completable immediately"
     );
     assert!(
-        !backend
-            .paths()
+        !paths(backend.as_ref(), &dir)
             .iter()
             .any(|p| p.to_string_lossy().contains(".tomb-")),
         "successful claim must sweep the orphaned tomb"
@@ -261,7 +291,7 @@ fn interrupted_takeover_is_completed_by_the_next_claimant() {
 
     run_survivors(&dir, &backend, 3, ttl, &reference, "interrupted-takeover");
     assert_single_execution(&dir, "interrupted-takeover");
-    assert_no_wedged_protocol_files(&backend, "interrupted-takeover");
+    assert_no_wedged_protocol_files(backend.as_ref(), &dir, "interrupted-takeover");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -269,10 +299,12 @@ fn interrupted_takeover_is_completed_by_the_next_claimant() {
 /// the atomic rename. The final name must stay untouched (no torn entry
 /// served to anyone), the campaign re-executes the job cleanly, and the
 /// orphaned temp is invisible to byte accounting and collectable by GC.
+/// Runs on a real directory: only a substrate that stages writes can
+/// leave the orphan this scenario is about.
 #[test]
 fn crash_before_publish_rename_leaves_no_torn_entry() {
     let dir = tmp_dir("crash-publish");
-    let backend = Arc::new(FaultBackend::new());
+    let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
     let ttl = Duration::from_secs(30);
     let reference = reference_report();
 
@@ -288,8 +320,7 @@ fn crash_before_publish_rename_leaves_no_torn_entry() {
         !backend.contains(&entry),
         "final name untouched by the crash"
     );
-    let orphan = backend
-        .paths()
+    let orphan = paths(backend.as_ref(), &dir)
         .into_iter()
         .find(|p| {
             p.file_name()
@@ -301,7 +332,7 @@ fn crash_before_publish_rename_leaves_no_torn_entry() {
 
     run_survivors(&dir, &backend, 3, ttl, &reference, "crash-publish");
     assert_single_execution(&dir, "crash-publish");
-    assert_no_wedged_protocol_files(&backend, "crash-publish");
+    assert_no_wedged_protocol_files(backend.as_ref(), &dir, "crash-publish");
 
     // The orphan never counts toward byte budgets, and once stale it is
     // swept by the next GC pass (any budget — orphans are not entries).
@@ -310,7 +341,11 @@ fn crash_before_publish_rename_leaves_no_torn_entry() {
         backend.contains(&orphan),
         "orphan survives until it goes stale"
     );
-    backend.age(&orphan, Duration::from_secs(2 * 3600));
+    std::fs::File::options()
+        .append(true)
+        .open(&orphan)
+        .and_then(|f| f.set_modified(SystemTime::now() - Duration::from_secs(2 * 3600)))
+        .unwrap();
     store.gc(u64::MAX);
     assert!(!backend.contains(&orphan), "stale orphan must be collected");
     assert_eq!(store.usage_bytes(), billed, "orphans were never billed");
@@ -326,7 +361,7 @@ fn crash_before_publish_rename_leaves_no_torn_entry() {
 #[test]
 fn torn_lease_files_never_decide_ownership() {
     let dir = tmp_dir("torn-claim");
-    let backend = Arc::new(FaultBackend::new());
+    let backend = faulty_object([]);
     let ttl = Duration::from_secs(30);
     let reference = reference_report();
 
@@ -338,7 +373,10 @@ fn torn_lease_files_never_decide_ownership() {
     // a torn lease file exists under the claimed name.
     assert_eq!(peer.try_claim(kind, fp), Claim::Busy);
     peer.abandon();
-    let torn = backend.read_raw(&lease).expect("torn lease file exists");
+    let torn = backend
+        .inner()
+        .load(&lease)
+        .expect("torn lease file exists");
     assert!(torn.len() < 20, "file must actually be torn: {torn:?}");
 
     // Fresh + torn: conservatively a live peer — no spurious takeover.
@@ -350,7 +388,7 @@ fn torn_lease_files_never_decide_ownership() {
     );
     // Stale + torn: the mtime, not the unreadable content, carries the
     // verdict — taken over at generation 0 + 1.
-    backend.age(&lease, ttl * 2);
+    age(&backend, &lease, ttl * 2);
     assert_eq!(
         rival.try_claim(kind, fp),
         Claim::Acquired {
@@ -363,7 +401,7 @@ fn torn_lease_files_never_decide_ownership() {
 
     run_survivors(&dir, &backend, 3, ttl, &reference, "torn-claim");
     assert_single_execution(&dir, "torn-claim");
-    assert_no_wedged_protocol_files(&backend, "torn-claim");
+    assert_no_wedged_protocol_files(backend.as_ref(), &dir, "torn-claim");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -375,7 +413,7 @@ fn torn_lease_files_never_decide_ownership() {
 #[test]
 fn torn_heartbeat_read_does_not_abandon_a_live_lease() {
     let dir = tmp_dir("torn-heartbeat");
-    let backend = Arc::new(FaultBackend::new());
+    let backend = faulty_object([]);
     let ttl = Duration::from_secs(30);
 
     let (store, owner, kind, fp, _lease) = victim_setup(&dir, &backend, ttl);
@@ -402,10 +440,13 @@ fn torn_heartbeat_read_does_not_abandon_a_live_lease() {
 
     // An *intact foreign* observation still means usurped: that path
     // must not have been loosened by torn-tolerance.
-    backend.insert_raw(
-        &owner.lease_path(kind, fp),
-        b"gnnunlock-lease owner=usurper pid=9 gen=7\n",
-    );
+    backend
+        .inner()
+        .publish(
+            &owner.lease_path(kind, fp),
+            b"gnnunlock-lease owner=usurper pid=9 gen=7\n",
+        )
+        .unwrap();
     owner.force_heartbeat();
     assert_eq!(owner.held(), 0, "intact foreign content is a real loss");
     assert_eq!(owner.stats().lost, 1);
@@ -413,10 +454,11 @@ fn torn_heartbeat_read_does_not_abandon_a_live_lease() {
 }
 
 /// Seeded soak: N pseudo-random schedules of *recoverable* faults
-/// (transient errors, delayed visibility, torn reads) thrown at full
-/// sharded runs. Recoverable faults may cost duplicate work — a shard
-/// that transiently cannot see a peer's entry legitimately re-executes
-/// the job — but must never change the report or fail the campaign.
+/// (transient errors, delayed visibility, torn and slow reads, latency,
+/// short outages) thrown at full sharded runs over a real directory.
+/// Recoverable faults may cost duplicate work — a shard that
+/// transiently cannot see a peer's entry legitimately re-executes the
+/// job — but must never change the report or fail the campaign.
 /// `GNNUNLOCK_FAULT_SOAK_SEEDS` (default 6) widens the sweep in CI; a
 /// failure names its seed so the exact schedule reproduces.
 #[test]
@@ -428,8 +470,9 @@ fn recoverable_fault_soak_never_diverges_the_report() {
         .unwrap_or(6);
     for seed in 1..=seeds {
         let dir = tmp_dir(&format!("soak-{seed}"));
-        let backend = Arc::new(FaultBackend::with_rules(
-            gnnunlock_engine::recoverable_schedule(seed, 10),
+        let backend = Arc::new(Faulty::with_rules(
+            LocalDirBackend::new(),
+            recoverable_schedule(seed, 10),
         ));
         for i in 0..2 {
             let run = toy()
@@ -463,13 +506,13 @@ fn recoverable_fault_soak_never_diverges_the_report() {
 /// short unavailability windows, transient errors — must stay
 /// byte-identical to the faultless reference with every job body
 /// executed exactly once. The resilience layer's retries absorb the
-/// whole schedule, and every backoff pause lands on the service's
+/// whole schedule, and every backoff pause lands on the decorator's
 /// virtual clock, so the test is timing-free.
 #[test]
 fn object_backend_chaos_schedule_is_byte_identical_and_exactly_once() {
     let reference = reference_report();
     let dir = tmp_dir("object-chaos");
-    let backend = Arc::new(ObjectStoreBackend::with_rules([
+    let backend = faulty_object([
         FaultRule::on(FaultOp::Load, ".bin", Fault::Transient),
         FaultRule::on(FaultOp::Publish, ".bin", Fault::Latency(12)).after(1),
         FaultRule::on(FaultOp::Claim, ".lease", Fault::Unavailable(2)).after(2),
@@ -477,7 +520,7 @@ fn object_backend_chaos_schedule_is_byte_identical_and_exactly_once() {
         FaultRule::on(FaultOp::Publish, ".bin", Fault::Unavailable(1)).after(3),
         FaultRule::on(FaultOp::Load, ".bin", Fault::SlowRead).after(5),
         FaultRule::on(FaultOp::Load, ".bin", Fault::Transient).after(7),
-    ]));
+    ]);
 
     run_survivors(
         &dir,
@@ -489,24 +532,14 @@ fn object_backend_chaos_schedule_is_byte_identical_and_exactly_once() {
     );
     assert_single_execution(&dir, "object-chaos");
     assert!(
-        backend.service().faults_fired() > 0,
+        backend.faults_fired() > 0,
         "the schedule must actually have fired"
     );
     assert!(
-        backend.service().virtual_waited() > Duration::ZERO,
+        backend.virtual_waited() > Duration::ZERO,
         "backoff must be charged to the virtual clock, not slept"
     );
-    let wedged: Vec<_> = backend
-        .service()
-        .keys()
-        .into_iter()
-        .filter(|k| {
-            k.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"))
-        })
-        .collect();
-    assert!(wedged.is_empty(), "object-chaos: wedged blobs: {wedged:?}");
+    assert_no_wedged_protocol_files(backend.as_ref(), &dir, "object-chaos");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -521,12 +554,10 @@ fn sustained_object_outage_fails_cleanly_and_recovers() {
     let reference = reference_report();
     let dir = tmp_dir("object-outage");
     let ttl = Duration::from_millis(200);
-    let backend = Arc::new(ObjectStoreBackend::new());
     // After a handful of healthy operations the service disappears:
     // every subsequent gated op times out, forever.
-    backend
-        .service()
-        .inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(12));
+    let backend =
+        faulty_object([FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(12)]);
 
     let run = toy()
         .execute_sharded(
@@ -566,14 +597,10 @@ fn sustained_object_outage_fails_cleanly_and_recovers() {
     // Recovery: the outage ends. Stranded leases (owners that could not
     // release through the dead store) age past the TTL — the virtual
     // stand-in for waiting out one TTL — and a clean shard converges.
-    backend.service().clear_rules();
-    for key in backend.service().keys() {
-        let is_protocol = key
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"));
-        if is_protocol {
-            backend.service().age(&key, ttl * 4);
+    backend.clear_rules();
+    for key in paths(backend.as_ref(), &dir) {
+        if is_protocol_file(&key) {
+            age(&backend, &key, ttl * 4);
         }
     }
     let recovery_dir = tmp_dir("object-outage-recovery");
@@ -590,8 +617,7 @@ fn sustained_object_outage_fails_cleanly_and_recovers() {
 }
 
 /// Seeded soak over the object-store backend: the same recoverable-
-/// fault schedules as the memory soak — now including the service-
-/// shaped latency/unavailability/slow-read kinds — run against the
+/// fault schedules as the directory soak, run against the
 /// conditional-put substrate. `GNNUNLOCK_FAULT_SOAK_SEEDS` widens the
 /// sweep in CI; a failure names its seed.
 #[test]
@@ -603,9 +629,7 @@ fn object_backend_recoverable_soak_never_diverges_the_report() {
         .unwrap_or(6);
     for seed in 1..=seeds {
         let dir = tmp_dir(&format!("object-soak-{seed}"));
-        let backend = Arc::new(ObjectStoreBackend::with_rules(
-            gnnunlock_engine::recoverable_schedule(seed, 10),
-        ));
+        let backend = faulty_object(recoverable_schedule(seed, 10));
         for i in 0..2 {
             let run = toy()
                 .execute_sharded(

@@ -234,7 +234,7 @@ fn fingerprint_constants_are_pinned() {
     // StageJob fields, in order: kind, scheme, benchmark, key, seed,
     // epoch (empty here), salt.
     let job = StageJob {
-        kind: JobKind::Attack,
+        kind: JobKind::Custom("attack"),
         scheme: "antisat".into(),
         benchmark: Some("c7552".into()),
         key_bits: Some(16),

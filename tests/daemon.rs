@@ -201,6 +201,31 @@ fn daemon_guards_ids_buffers_and_prior_life_status() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A request nested deeper than the JSON parser's depth bound (here a
+/// ~600 KB line of `[`, under the 1 MiB line cap) is answered with a
+/// parse error instead of overflowing the reactor thread's stack, and
+/// the daemon keeps serving.
+#[test]
+fn daemon_survives_deeply_nested_request() {
+    let root = tmp_dir("deep-nesting");
+    let daemon = Daemon::start(DaemonConfig::new(&root)).unwrap();
+    let addr = daemon.addr();
+
+    let doc = request(addr, &"[".repeat(600 * 1024));
+    assert!(!is_ok(&doc), "{doc:?}");
+    assert!(
+        str_field(&doc, "error").contains("nesting too deep"),
+        "{doc:?}"
+    );
+    let doc = request(addr, r#"{"op":"status"}"#);
+    assert!(is_ok(&doc), "daemon must still answer status: {doc:?}");
+
+    let doc = request(addr, r#"{"op":"shutdown"}"#);
+    assert!(is_ok(&doc), "{doc:?}");
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn daemon_serves_submits_streams_and_dedups() {
     let root = tmp_dir("service");

@@ -245,9 +245,9 @@ fn probe_ahead_elides_interior_stages_nobody_needs() {
 // smoke check that the `LocalDirBackend` primitives behave under actual
 // process death. The exhaustive crash/takeover matrix (every crash
 // window, torn writes, delayed visibility, seeded fault soak) lives in
-// `crates/engine/tests/fault_matrix.rs` on the deterministic in-memory
-// `FaultBackend`, where it needs no TTL waits, kill timing, or child
-// processes.
+// `crates/engine/tests/fault_matrix.rs` on the deterministic `Faulty`
+// fault-injection decorator, where it needs no TTL waits, kill timing,
+// or child processes.
 // ---------------------------------------------------------------------
 
 const STALL_DIR_ENV: &str = "GNNUNLOCK_TEST_STALL_DIR";
