@@ -3,11 +3,11 @@
 //!
 //! The aggregation kernels follow the same contract as the `Matrix`
 //! product family: `_into` variants write caller-provided outputs (zero
-//! steady-state allocation with a warm [`Workspace`]), threading
-//! partitions *output rows* with deterministic ownership, and every
-//! output element accumulates its neighbor rows in ascending CSR order
-//! — so the parallel, fused kernels are bit-identical to the historical
-//! sum-then-scale passes for any thread count.
+//! steady-state allocation with a warm [`Workspace`]), they run on the
+//! calling thread (the engine's job workers supply the parallelism),
+//! and every output element accumulates its neighbor rows in ascending
+//! CSR order — so the fused kernels are bit-identical to the historical
+//! sum-then-scale passes.
 
 use gnnunlock_neural::{Matrix, Workspace};
 
@@ -122,7 +122,7 @@ impl Csr {
         }
     }
 
-    /// `y[i] = Σ_{j ∈ N(i)} x[j]` (sum aggregation), threaded over rows.
+    /// `y[i] = Σ_{j ∈ N(i)} x[j]` (sum aggregation).
     ///
     /// # Panics
     ///
@@ -157,7 +157,7 @@ impl Csr {
     /// overwritten). The degree normalization is fused into the same
     /// row pass — each row is scaled *after* its full neighbor sum,
     /// exactly the historical sum-then-scale op order per element, so
-    /// fusing (like threading) changes wall-clock only.
+    /// fusing changes wall-clock only.
     ///
     /// # Panics
     ///
@@ -173,47 +173,23 @@ impl Csr {
             (self.num_nodes(), x.cols()),
             "aggregate output shape mismatch"
         );
-        let cols = x.cols();
-        let n_threads = if self.num_nodes() >= 2048 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
-        } else {
-            1
-        };
-        let rows_per = self.num_nodes().div_ceil(n_threads.max(1)).max(1);
-        let out_data = out.data_mut();
-        let body = |start: usize, chunk: &mut [f32]| {
-            for (local, row) in chunk.chunks_mut(cols.max(1)).enumerate() {
-                let v = start + local;
-                row.fill(0.0);
-                for &n in self.neighbors(v) {
-                    let src = x.row(n as usize);
-                    for (o, &s) in row.iter_mut().zip(src) {
-                        *o += s;
-                    }
+        for v in 0..self.num_nodes() {
+            let row = out.row_mut(v);
+            row.fill(0.0);
+            for &n in self.neighbors(v) {
+                for (o, &s) in row.iter_mut().zip(x.row(n as usize)) {
+                    *o += s;
                 }
-                if mean {
-                    let inv = self.inv_degree[v];
-                    if inv != 1.0 {
-                        for e in row.iter_mut() {
-                            *e *= inv;
-                        }
+            }
+            if mean {
+                let inv = self.inv_degree[v];
+                if inv != 1.0 {
+                    for e in row.iter_mut() {
+                        *e *= inv;
                     }
                 }
             }
-        };
-        if n_threads <= 1 || cols == 0 {
-            body(0, out_data);
-            return;
         }
-        std::thread::scope(|scope| {
-            for (t, chunk) in out_data.chunks_mut(rows_per * cols).enumerate() {
-                let body = &body;
-                scope.spawn(move || body(t * rows_per, chunk));
-            }
-        });
     }
 
     /// Backward of [`Csr::mean_aggregate`] w.r.t. its input: for a
@@ -413,7 +389,8 @@ mod tests {
 
     #[test]
     fn large_aggregation_threads_match_serial() {
-        // > 2048 nodes exercises the threaded path.
+        // A large graph, checked against independent scalar sums (the
+        // name predates single-threaded aggregation).
         let n = 3000;
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let g = Csr::from_edges(n, &edges);

@@ -4,7 +4,7 @@
 //! - [`netlist_to_graph`]: the paper's Section IV-B netlist-to-graph
 //!   transformation with per-gate feature vectors (`|f̂|` = 13/34/18 for
 //!   the Bench8/Lpe65/Nangate45 libraries);
-//! - [`Csr`]: adjacency with threaded mean aggregation and its exact
+//! - [`Csr`]: adjacency with fused mean aggregation and its exact
 //!   adjoint for backprop;
 //! - [`SageModel`]: the paper's Table II architecture (input `[|f̂|,H]`,
 //!   two `[2H,H]` mean-with-concat layers, `[H,#classes]` head, ReLU,

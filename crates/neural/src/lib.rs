@@ -1,8 +1,8 @@
 //! Minimal dense neural-network substrate for the GNN.
 //!
 //! The paper's GNN stack (Tensorflow + GraphSAINT) is replaced by this
-//! from-scratch implementation: row-major `f32` [`Matrix`] with threaded
-//! products, He/Xavier init, [`Linear`] layers with exact backward passes,
+//! from-scratch implementation: row-major `f32` [`Matrix`] with tiled,
+//! bit-exact products, He/Xavier init, [`Linear`] layers with exact backward passes,
 //! ReLU/dropout, the Adam optimizer ([`AdamState`]) (paper Table II: Adam, lr 0.01,
 //! dropout 0.1) and softmax cross-entropy with class and row weighting
 //! ([`softmax_cross_entropy`]). [`Metrics`] produces the non-averaged

@@ -1,5 +1,5 @@
-//! Dense row-major `f32` matrices with cache-tiled, multithreaded,
-//! **bit-exact** matrix products.
+//! Dense row-major `f32` matrices with cache-tiled, **bit-exact**
+//! matrix products.
 //!
 //! # Kernel design
 //!
@@ -10,17 +10,16 @@
 //! 1. **Fixed reduction order.** Every output element accumulates its
 //!    terms in ascending reduction-index order — exactly the order the
 //!    original naive loops used (preserved as oracles in [`reference`]).
-//!    Tiling, packing and threading only re-arrange *which element is
-//!    computed when*, never the order of additions within one element,
-//!    so results are bit-identical to the naive kernels, for any thread
-//!    count. (This also rules out FMA contraction and horizontal SIMD
-//!    reductions; the win comes from register reuse and memory layout.)
-//! 2. **Deterministic ownership.** Threads own disjoint, contiguous
-//!    blocks of *output* rows. There are no cross-thread partial sums to
-//!    merge — a row-block accumulation scheme with a reduction tree
-//!    would change the addition order and break bit-exactness, so the
-//!    parallel split is over outputs, where the "merge" is trivially
-//!    order-free.
+//!    Tiling and packing only re-arrange *which element is computed
+//!    when*, never the order of additions within one element, so
+//!    results are bit-identical to the naive kernels. (This also rules
+//!    out FMA contraction and horizontal SIMD reductions; the win comes
+//!    from register reuse and memory layout.)
+//! 2. **Kernels run on the calling thread; the executor owns
+//!    parallelism.** Training mini-batches are a few hundred rows, too
+//!    small to amortize spawning threads per product, and the engine
+//!    already runs one job per CPU — so a kernel never spawns, and
+//!    concurrent jobs never oversubscribe the machine.
 //! 3. **No hidden allocation.** Every product has an `_into` variant
 //!    writing a caller-provided output and borrowing pack scratch from a
 //!    [`Workspace`], so steady-state callers (the per-epoch training
@@ -71,10 +70,6 @@ pub struct Matrix {
     cols: usize,
     data: Vec<f32>,
 }
-
-/// Output-row count below which the products stay single-threaded (the
-/// per-thread work would not amortize a spawn).
-const PARALLEL_THRESHOLD: usize = 128;
 
 /// Micro-kernel tile height (output rows per register tile).
 const MR: usize = 4;
@@ -287,24 +282,18 @@ impl Matrix {
             "matmul_sparse_aware_into output shape mismatch"
         );
         let n = other.cols;
-        let (a, b) = (&self.data, &other.data);
-        let k = self.cols;
-        kernels::for_row_blocks(self.rows, &mut out.data, n, |r0, block| {
-            for (local, out_row) in block.chunks_mut(n.max(1)).enumerate() {
-                let r = r0 + local;
-                out_row.fill(0.0);
-                let a_row = &a[r * k..(r + 1) * k];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
+        for r in 0..self.rows {
+            let out_row = &mut out.data[r * n..(r + 1) * n];
+            out_row.fill(0.0);
+            for (kk, &av) in self.row(r).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(other.row(kk)) {
+                    *o += av * bv;
                 }
             }
-        });
+        }
     }
 
     /// `selfᵀ * other` (used for weight gradients).
@@ -320,13 +309,12 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` into a caller-provided output. Parallel over
-    /// blocks of *output* rows (columns of `self`): each thread owns a
-    /// contiguous block and walks the shared reduction dimension in
-    /// ascending order, so the result is bit-identical to the serial
-    /// naive kernel for any thread count. The inner loop is unrolled
-    /// over four reduction rows, turning four loads + four stores of the
-    /// output row into one of each. `out` is fully overwritten.
+    /// `selfᵀ * other` into a caller-provided output. Every output row
+    /// (column of `self`) walks the shared reduction dimension in
+    /// ascending order, so the result is bit-identical to the naive
+    /// kernel. The inner loop is unrolled over four reduction rows,
+    /// turning four loads + four stores of the output row into one of
+    /// each. `out` is fully overwritten.
     ///
     /// # Panics
     ///
@@ -338,11 +326,14 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul_into output shape mismatch"
         );
-        let (m, ca, cb) = (self.rows, self.cols, other.cols);
-        let (a, b) = (&self.data, &other.data);
-        kernels::for_row_blocks(ca, &mut out.data, cb, |i0, block| {
-            kernels::tmm_block(a, b, block, m, ca, cb, i0, block.len() / cb.max(1));
-        });
+        kernels::tmm(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            other.cols,
+        );
     }
 
     /// `selfᵀ * other` with the historical `a == 0.0` skip branch — the
@@ -576,10 +567,9 @@ pub(crate) fn packed_len(k: usize, n: usize) -> usize {
 }
 
 /// The tiled kernels. Free functions over flat slices so the same GEMM
-/// serves `matmul` (packed `b`), `matmul_transpose` (packed `bᵀ`) and
-/// the parallel drivers.
+/// serves `matmul` (packed `b`) and `matmul_transpose` (packed `bᵀ`).
 mod kernels {
-    use super::{MR, NR, PARALLEL_THRESHOLD};
+    use super::{MR, NR};
 
     /// Packed length of a `k x n` panel matrix (zero-padded to whole
     /// `NR`-wide panels).
@@ -623,31 +613,13 @@ mod kernels {
         }
     }
 
-    /// `out = a * B` where `B` is pre-packed panels: the full GEMM over
-    /// one contiguous range of output rows, threaded by
-    /// [`for_row_blocks`].
+    /// `out = a * B` (`m x n`) where `B` is pre-packed panels. Register
+    /// tile `MR x NR`; every output element reduces over `kk = 0..k` in
+    /// ascending order.
     pub(super) fn gemm(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for_row_blocks(m, out, n, |r0, block| {
-            gemm_rows(a, bp, block, k, n, r0, block.len() / n.max(1));
-        });
-    }
-
-    /// The serial GEMM body for output rows `r0 .. r0 + h` (`block` is
-    /// exactly those rows of `out`). Register tile `MR x NR`; every
-    /// output element reduces over `kk = 0..k` in ascending order.
-    fn gemm_rows(
-        a: &[f32],
-        bp: &[f32],
-        block: &mut [f32],
-        k: usize,
-        n: usize,
-        r0: usize,
-        h: usize,
-    ) {
         let panels = n.div_ceil(NR);
-        let mut local = 0;
-        while local + MR <= h {
-            let r = r0 + local;
+        let mut r = 0;
+        while r + MR <= m {
             for p in 0..panels {
                 let j0 = p * NR;
                 let w = (n - j0).min(NR);
@@ -662,15 +634,15 @@ mod kernels {
                     }
                 }
                 for (i, acc_row) in acc.iter().enumerate() {
-                    let row = (local + i) * n;
-                    block[row + j0..row + j0 + w].copy_from_slice(&acc_row[..w]);
+                    let row = (r + i) * n;
+                    out[row + j0..row + j0 + w].copy_from_slice(&acc_row[..w]);
                 }
             }
-            local += MR;
+            r += MR;
         }
         // Row remainder: single-row tiles, same reduction order.
-        while local < h {
-            let a_row = &a[(r0 + local) * k..(r0 + local + 1) * k];
+        while r < m {
+            let a_row = &a[r * k..(r + 1) * k];
             for p in 0..panels {
                 let j0 = p * NR;
                 let w = (n - j0).min(NR);
@@ -682,42 +654,31 @@ mod kernels {
                         *t += av * bv;
                     }
                 }
-                let row = local * n;
-                block[row + j0..row + j0 + w].copy_from_slice(&acc[..w]);
+                let row = r * n;
+                out[row + j0..row + j0 + w].copy_from_slice(&acc[..w]);
             }
-            local += 1;
+            r += 1;
         }
     }
 
-    /// `transpose_matmul` body for output rows `i0 .. i0 + h` (columns
-    /// `i0..` of `a`): in-place accumulation over the shared reduction
-    /// rows in ascending order, unrolled four reduction rows at a time
-    /// so each output row is loaded and stored once per four
-    /// contributions instead of once per contribution.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn tmm_block(
-        a: &[f32],
-        b: &[f32],
-        block: &mut [f32],
-        m: usize,
-        ca: usize,
-        cb: usize,
-        i0: usize,
-        h: usize,
-    ) {
-        block.fill(0.0);
+    /// `out = aᵀ * b` (`ca x cb`, `a` is `m x ca`, `b` is `m x cb`):
+    /// in-place accumulation over the shared reduction rows in
+    /// ascending order, unrolled four reduction rows at a time so each
+    /// output row is loaded and stored once per four contributions
+    /// instead of once per contribution.
+    pub(super) fn tmm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, ca: usize, cb: usize) {
+        out.fill(0.0);
         const RB: usize = 4;
         let mut r = 0;
         while r + RB <= m {
-            for local in 0..h {
-                let i = i0 + local;
+            for i in 0..ca {
                 let avs = [
                     a[r * ca + i],
                     a[(r + 1) * ca + i],
                     a[(r + 2) * ca + i],
                     a[(r + 3) * ca + i],
                 ];
-                let out_row = &mut block[local * cb..(local + 1) * cb];
+                let out_row = &mut out[i * cb..(i + 1) * cb];
                 let b0 = &b[r * cb..(r + 1) * cb];
                 let b1 = &b[(r + 1) * cb..(r + 2) * cb];
                 let b2 = &b[(r + 2) * cb..(r + 3) * cb];
@@ -737,50 +698,15 @@ mod kernels {
         }
         while r < m {
             let b_row = &b[r * cb..(r + 1) * cb];
-            for local in 0..h {
-                let av = a[r * ca + i0 + local];
-                let out_row = &mut block[local * cb..(local + 1) * cb];
+            for i in 0..ca {
+                let av = a[r * ca + i];
+                let out_row = &mut out[i * cb..(i + 1) * cb];
                 for (o, &bv) in out_row.iter_mut().zip(b_row) {
                     *o += av * bv;
                 }
             }
             r += 1;
         }
-    }
-
-    /// Split `out` (`rows x cols`, flat) into contiguous row blocks with
-    /// deterministic per-thread ownership and run `body(first_row,
-    /// block)` on each — single-threaded below [`PARALLEL_THRESHOLD`]
-    /// rows or when only one CPU is available. Because every output row
-    /// is produced entirely by one invocation, the split never changes
-    /// results, only wall-clock.
-    pub(super) fn for_row_blocks(
-        rows: usize,
-        out: &mut [f32],
-        cols: usize,
-        body: impl Fn(usize, &mut [f32]) + Sync,
-    ) {
-        let threads = if rows < PARALLEL_THRESHOLD {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
-        };
-        if threads <= 1 || cols == 0 {
-            body(0, out);
-            return;
-        }
-        // MR-aligned block boundaries so only the last block has a row
-        // remainder.
-        let per = rows.div_ceil(threads).div_ceil(MR) * MR;
-        std::thread::scope(|scope| {
-            for (t, block) in out.chunks_mut(per * cols).enumerate() {
-                let body = &body;
-                scope.spawn(move || body(t * per, block));
-            }
-        });
     }
 }
 
@@ -789,7 +715,11 @@ mod kernels {
 /// exactly) and as the baselines the perf harness
 /// (`gnnunlock-bench perf`) times the optimized kernels against.
 pub mod reference {
-    use super::{Matrix, PARALLEL_THRESHOLD};
+    use super::Matrix;
+
+    /// Output-row count below which [`parallel_rows`] stays
+    /// single-threaded (the per-thread work would not amortize a spawn).
+    const PARALLEL_THRESHOLD: usize = 128;
 
     /// Naive `a * b`: per output row, stream `b` row-by-row with the
     /// historical `a == 0.0` skip branch, allocating a fresh output.
@@ -1050,7 +980,8 @@ mod tests {
 
     #[test]
     fn large_matmul_threads_match_serial() {
-        // Above PARALLEL_THRESHOLD rows to exercise the threaded path.
+        // Above the reference's PARALLEL_THRESHOLD, so the oracle it is
+        // checked against runs threaded while the kernel runs serially.
         let a = Matrix::xavier(300, 40, 4);
         let b = Matrix::xavier(40, 30, 5);
         let c = a.matmul(&b);

@@ -41,7 +41,8 @@ proptest! {
     /// approximately equal) to the pre-overhaul naive kernels across
     /// random shapes, seeds and zero densities — the kernel overhaul's
     /// core contract. Shapes deliberately straddle the MR/NR tile edges
-    /// and the parallel threshold.
+    /// and the reference kernels' 128-row parallel threshold (the
+    /// optimized kernels never thread).
     #[test]
     fn optimized_kernels_bit_match_naive_references(
         m in 1usize..140,
