@@ -19,7 +19,6 @@
 //! | `Remove` | `Option<RemovalArtifact>` | `remove-v1` |
 //! | `Verify` | `Option<InstanceOutcome>` | `verify-v1` |
 //! | `Aggregate` | `Vec<AttackOutcome>` | `aggregate-v1` |
-//! | `Attack` (whole-benchmark jobs) | `AttackOutcome` | `attack-outcome-v1` |
 //! | `Custom("summary")` | `DatasetSummary` | `summary-v1` |
 //!
 //! Every payload starts with a type tag, so one cache directory can be
@@ -29,6 +28,11 @@
 //! so a decoded value is bit-exact — warm runs reproduce cold-run
 //! reports byte for byte, and a training checkpoint restored from disk
 //! continues the exact trajectory of the run that wrote it.
+//!
+//! Each type crosses the wire through one `Wire` impl that both
+//! writes and reads it. Sequences carry a length prefix, and their
+//! reader reserves no more slots than there are unread bytes, so a
+//! forged count cannot make `decode` allocate beyond the payload's size.
 
 use crate::dataset::{
     Dataset, DatasetConfig, DatasetScheme, DatasetSummary, LockedInstance, Suite,
@@ -77,972 +81,608 @@ pub struct RemovalArtifact {
     pub recovered: Netlist,
 }
 
-const TAG_TRAIN: &str = "train-v1";
-const TAG_VERIFY: &str = "verify-v1";
-const TAG_AGGREGATE: &str = "aggregate-v1";
-const TAG_SUMMARY: &str = "summary-v1";
-const TAG_NETLIST: &str = "netlist-v1";
-const TAG_LOCKED: &str = "locked-v1";
-const TAG_INSTANCE: &str = "instance-v1";
-const TAG_DATASET: &str = "dataset-v1";
-const TAG_CKPT: &str = "ckpt-v1";
-const TAG_CLASSIFY: &str = "classify-v1";
-const TAG_REMOVE: &str = "remove-v1";
-
 /// Serialization of GNNUnlock pipeline artifacts for the engine's
 /// on-disk result store.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineCodec;
 
+type Encode = fn(&JobValue, &mut ByteWriter) -> Option<()>;
+type Decode = fn(&mut ByteReader<'_>) -> Option<JobValue>;
+
+/// The payload tag and concrete value type of each job kind: the
+/// codec's one kind → type → tag mapping, from which `encode` and
+/// `decode` both take their halves.
+fn format(kind: JobKind) -> Option<(&'static str, Encode, Decode)> {
+    fn of<T: Wire + Send + Sync + 'static>(tag: &'static str) -> (&'static str, Encode, Decode) {
+        (tag, enc::<T>, dec::<T>)
+    }
+    Some(match kind {
+        JobKind::Parse => of::<Option<Netlist>>("netlist-v1"),
+        JobKind::Lock | JobKind::Synth => of::<Option<LockedCircuit>>("locked-v1"),
+        JobKind::Featurize => of::<Option<LockedInstance>>("instance-v1"),
+        JobKind::Dataset => of::<Dataset>("dataset-v1"),
+        JobKind::TrainEpoch => of::<CheckpointValue>("ckpt-v1"),
+        JobKind::Train => of::<TrainValue>("train-v1"),
+        JobKind::Classify => of::<Option<ClassifyArtifact>>("classify-v1"),
+        JobKind::Remove => of::<Option<RemovalArtifact>>("remove-v1"),
+        JobKind::Verify => of::<Option<InstanceOutcome>>("verify-v1"),
+        JobKind::Aggregate => of::<Vec<AttackOutcome>>("aggregate-v1"),
+        JobKind::Custom("summary") => of::<DatasetSummary>("summary-v1"),
+        _ => return None,
+    })
+}
+
+fn enc<T: Wire + 'static>(value: &JobValue, w: &mut ByteWriter) -> Option<()> {
+    value.downcast_ref::<T>()?.put(w);
+    Some(())
+}
+
+fn dec<T: Wire + Send + Sync + 'static>(r: &mut ByteReader<'_>) -> Option<JobValue> {
+    Some(Arc::new(T::get(r)?))
+}
+
 impl ValueCodec for PipelineCodec {
     fn encode(&self, kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
+        let (tag, encode, _) = format(kind)?;
         let mut w = ByteWriter::new();
-        match kind {
-            JobKind::Parse => {
-                let v = value.downcast_ref::<Option<Netlist>>()?;
-                w.str(TAG_NETLIST);
-                match v {
-                    None => w.bool(false),
-                    Some(nl) => {
-                        w.bool(true);
-                        write_netlist(&mut w, nl);
-                    }
-                }
-            }
-            JobKind::Lock | JobKind::Synth => {
-                let v = value.downcast_ref::<Option<LockedCircuit>>()?;
-                w.str(TAG_LOCKED);
-                match v {
-                    None => w.bool(false),
-                    Some(locked) => {
-                        w.bool(true);
-                        write_locked(&mut w, locked);
-                    }
-                }
-            }
-            JobKind::Featurize => {
-                let v = value.downcast_ref::<Option<LockedInstance>>()?;
-                w.str(TAG_INSTANCE);
-                match v {
-                    None => w.bool(false),
-                    Some(inst) => {
-                        w.bool(true);
-                        write_locked_instance(&mut w, inst);
-                    }
-                }
-            }
-            JobKind::Dataset => {
-                let v = value.downcast_ref::<Dataset>()?;
-                w.str(TAG_DATASET);
-                write_dataset(&mut w, v);
-            }
-            JobKind::TrainEpoch => {
-                let v = value.downcast_ref::<CheckpointValue>()?;
-                w.str(TAG_CKPT);
-                match v {
-                    None => w.bool(false),
-                    Some(ckpt) => {
-                        w.bool(true);
-                        write_checkpoint(&mut w, ckpt);
-                    }
-                }
-            }
-            JobKind::Classify => {
-                let v = value.downcast_ref::<Option<ClassifyArtifact>>()?;
-                w.str(TAG_CLASSIFY);
-                match v {
-                    None => w.bool(false),
-                    Some(artifact) => {
-                        w.bool(true);
-                        write_instance_outcome(&mut w, &artifact.outcome);
-                        w.usize(artifact.preds.len());
-                        for &p in &artifact.preds {
-                            w.usize(p);
-                        }
-                    }
-                }
-            }
-            JobKind::Remove => {
-                let v = value.downcast_ref::<Option<RemovalArtifact>>()?;
-                w.str(TAG_REMOVE);
-                match v {
-                    None => w.bool(false),
-                    Some(artifact) => {
-                        w.bool(true);
-                        write_instance_outcome(&mut w, &artifact.outcome);
-                        write_netlist(&mut w, &artifact.recovered);
-                    }
-                }
-            }
-            JobKind::Train => {
-                let v = value.downcast_ref::<TrainValue>()?;
-                w.str(TAG_TRAIN);
-                match v {
-                    None => w.bool(false),
-                    Some((model, report)) => {
-                        w.bool(true);
-                        write_model(&mut w, model);
-                        write_train_report(&mut w, report);
-                    }
-                }
-            }
-            JobKind::Verify => {
-                let v = value.downcast_ref::<Option<InstanceOutcome>>()?;
-                w.str(TAG_VERIFY);
-                match v {
-                    None => w.bool(false),
-                    Some(outcome) => {
-                        w.bool(true);
-                        write_instance_outcome(&mut w, outcome);
-                    }
-                }
-            }
-            JobKind::Aggregate => {
-                let v = value.downcast_ref::<Vec<AttackOutcome>>()?;
-                w.str(TAG_AGGREGATE);
-                w.usize(v.len());
-                for outcome in v {
-                    write_attack_outcome(&mut w, outcome);
-                }
-            }
-            JobKind::Custom("summary") => {
-                let v = value.downcast_ref::<DatasetSummary>()?;
-                w.str(TAG_SUMMARY);
-                write_summary(&mut w, v);
-            }
-            _ => return None,
-        }
+        w.str(tag);
+        encode(value, &mut w)?;
         Some(w.into_bytes())
     }
 
     fn decode(&self, kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
+        let (tag, _, decode) = format(kind)?;
         let mut r = ByteReader::new(bytes);
-        let tag = r.str()?;
-        let value: JobValue = match (kind, tag.as_str()) {
-            (JobKind::Parse, TAG_NETLIST) => {
-                let v: Option<Netlist> = if r.bool()? {
-                    Some(read_netlist(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Lock | JobKind::Synth, TAG_LOCKED) => {
-                let v: Option<LockedCircuit> = if r.bool()? {
-                    Some(read_locked(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Featurize, TAG_INSTANCE) => {
-                let v: Option<LockedInstance> = if r.bool()? {
-                    Some(read_locked_instance(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Dataset, TAG_DATASET) => Arc::new(read_dataset(&mut r)?),
-            (JobKind::TrainEpoch, TAG_CKPT) => {
-                let v: CheckpointValue = if r.bool()? {
-                    Some(read_checkpoint(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Classify, TAG_CLASSIFY) => {
-                let v: Option<ClassifyArtifact> = if r.bool()? {
-                    let outcome = read_instance_outcome(&mut r)?;
-                    let n = r.usize()?;
-                    let mut preds = Vec::with_capacity(n.min(1 << 24));
-                    for _ in 0..n {
-                        preds.push(r.usize()?);
-                    }
-                    Some(ClassifyArtifact { outcome, preds })
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Remove, TAG_REMOVE) => {
-                let v: Option<RemovalArtifact> = if r.bool()? {
-                    Some(RemovalArtifact {
-                        outcome: read_instance_outcome(&mut r)?,
-                        recovered: read_netlist(&mut r)?,
-                    })
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Train, TAG_TRAIN) => {
-                let v: TrainValue = if r.bool()? {
-                    Some((read_model(&mut r)?, read_train_report(&mut r)?))
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Verify, TAG_VERIFY) => {
-                let v: Option<InstanceOutcome> = if r.bool()? {
-                    Some(read_instance_outcome(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Aggregate, TAG_AGGREGATE) => {
-                let n = r.usize()?;
-                let mut v = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    v.push(read_attack_outcome(&mut r)?);
-                }
-                Arc::new(v)
-            }
-            (JobKind::Custom("summary"), TAG_SUMMARY) => Arc::new(read_summary(&mut r)?),
-            _ => return None,
-        };
+        // The tag is a length-prefixed string; comparing its raw bytes
+        // skips a copy and a UTF-8 check.
+        if r.bytes()? != tag.as_bytes() {
+            return None;
+        }
+        let value = decode(&mut r)?;
         r.is_exhausted().then_some(value)
     }
 }
 
 // ---------------------------------------------------------------------
-// Netlist / locked-circuit / graph payloads
+// The wire format
 // ---------------------------------------------------------------------
 
-fn gate_type_code(ty: GateType) -> u8 {
-    ALL_GATE_TYPES
-        .iter()
-        .position(|&t| t == ty)
-        .expect("every gate type is in ALL_GATE_TYPES") as u8
+/// A type with one on-disk encoding: `get` reads back exactly what
+/// `put` wrote, and returns `None` on truncated or malformed input.
+trait Wire: Sized {
+    fn put(&self, w: &mut ByteWriter);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self>;
 }
 
-fn gate_type_from_code(code: u8) -> Option<GateType> {
-    ALL_GATE_TYPES.get(code as usize).copied()
-}
-
-fn write_driver(w: &mut ByteWriter, d: Driver) {
-    match d {
-        Driver::Input(id) => {
-            w.u8(0);
-            w.usize(id.index());
+/// The `ByteWriter` / `ByteReader` primitives, whose methods share the
+/// type's name.
+macro_rules! wire_primitive {
+    ($($ty:ident)+) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$ty(*self);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                r.$ty()
+            }
         }
-        Driver::Gate(id) => {
-            w.u8(1);
-            w.usize(id.index());
+    )+};
+}
+
+wire_primitive!(u8 u32 u64 usize f32 f64 bool);
+
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.str(self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        r.str()
+    }
+}
+
+/// Writes a `usize` length prefix, then the items.
+fn put_seq<T: Wire>(w: &mut ByteWriter, items: &[T]) {
+    w.usize(items.len());
+    for item in items {
+        item.put(w);
+    }
+}
+
+/// Reads `n` items. Every item takes at least one byte, so reserving
+/// more slots than there are unread bytes could only serve a forged
+/// count: the reservation is capped there, bounding it by input size.
+fn get_n<T: Wire>(r: &mut ByteReader<'_>, n: usize) -> Option<Vec<T>> {
+    let mut items = Vec::with_capacity(r.remaining().min(n));
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Some(items)
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        put_seq(w, self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let n = r.usize()?;
+        get_n(r, n)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
-        Driver::Const(v) => {
-            w.u8(2);
-            w.bool(v);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn put(&self, w: &mut ByteWriter) {
+        for item in self {
+            item.put(w);
         }
-        Driver::Undriven => w.u8(3),
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        get_n(r, N)?.try_into().ok()
     }
 }
 
-fn read_driver(r: &mut ByteReader<'_>) -> Option<Driver> {
-    Some(match r.u8()? {
-        0 => Driver::Input(InputId::from_index(r.usize()?)),
-        1 => Driver::Gate(GateId::from_index(r.usize()?)),
-        2 => Driver::Const(r.bool()?),
-        3 => Driver::Undriven,
-        _ => return None,
-    })
-}
-
-fn write_role(w: &mut ByteWriter, role: NodeRole) {
-    w.u8(match role {
-        NodeRole::Design => 0,
-        NodeRole::Perturb => 1,
-        NodeRole::Restore => 2,
-        NodeRole::AntiSat => 3,
-    });
-}
-
-fn read_role(r: &mut ByteReader<'_>) -> Option<NodeRole> {
-    Some(match r.u8()? {
-        0 => NodeRole::Design,
-        1 => NodeRole::Perturb,
-        2 => NodeRole::Restore,
-        3 => NodeRole::AntiSat,
-        _ => return None,
-    })
-}
-
-fn write_library(w: &mut ByteWriter, lib: CellLibrary) {
-    w.u8(match lib {
-        CellLibrary::Bench8 => 0,
-        CellLibrary::Lpe65 => 1,
-        CellLibrary::Nangate45 => 2,
-    });
-}
-
-fn read_library(r: &mut ByteReader<'_>) -> Option<CellLibrary> {
-    Some(match r.u8()? {
-        0 => CellLibrary::Bench8,
-        1 => CellLibrary::Lpe65,
-        2 => CellLibrary::Nangate45,
-        _ => return None,
-    })
-}
-
-fn write_netlist(w: &mut ByteWriter, nl: &Netlist) {
-    let parts = nl.to_parts();
-    w.str(&parts.name);
-    w.usize(parts.nets.len());
-    for (name, driver) in &parts.nets {
-        w.str(name);
-        write_driver(w, *driver);
-    }
-    w.usize(parts.inputs.len());
-    for (name, kind, net) in &parts.inputs {
-        w.str(name);
-        w.u8(matches!(kind, InputKind::Key) as u8);
-        w.u32(*net);
-    }
-    w.usize(parts.outputs.len());
-    for (name, net) in &parts.outputs {
-        w.str(name);
-        w.u32(*net);
-    }
-    w.usize(parts.gates.len());
-    for (alive, ty, inputs, output, role) in &parts.gates {
-        w.bool(*alive);
-        w.u8(gate_type_code(*ty));
-        w.usize(inputs.len());
-        for &i in inputs {
-            w.u32(i);
+/// Tuples travel as their elements in order, with no framing.
+macro_rules! wire_tuple {
+    ($(($($t:ident),+))+) => {$(
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, w: &mut ByteWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                Some(($($t::get(r)?,)+))
+            }
         }
-        w.u32(*output);
-        write_role(w, *role);
+    )+};
+}
+
+// Five elements: a netlist gate's `(alive, type, inputs, output, role)`.
+wire_tuple!((A, B)(A, B, C)(A, B, C, D, E));
+
+/// Structs travel as the listed fields in order, with no framing.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$field.put(w);)+
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                Some($ty { $($field: Wire::get(r)?),+ })
+            }
+        }
+    )+};
+}
+
+wire_struct! {
+    NetlistParts { name, nets, inputs, outputs, gates, const_nets, fresh_counter }
+    LockedCircuit { netlist, scheme, key, protected_inputs, target }
+    CircuitGraph { features, labels, adj, gate_ids, library, scheme, name }
+    LockedInstance { benchmark, key_bits, copy, original, locked, graph }
+    DatasetConfig {
+        scheme, suite, library, key_sizes, locks_per_config, scale, synth_effort, seed
     }
-    for slot in parts.const_nets {
-        match slot {
-            None => w.bool(false),
-            Some(net) => {
-                w.bool(true);
-                w.u32(net);
+    Dataset { config, instances }
+    Linear { weight, bias }
+    ModelConfig { feature_len, hidden, classes, dropout, seed }
+    AdamConfig { lr, beta1, beta2, eps }
+    TrainCheckpoint {
+        model, opt, sampler_rng, inclusion, best, best_val, history, evals_since_best,
+        epochs_run, done, elapsed_secs
+    }
+    TrainReport { best_val_accuracy, epochs_run, train_time, history }
+    AttackOutcome { benchmark, instances, train_report }
+    ClassifyArtifact { outcome, preds }
+    RemovalArtifact { outcome, recovered }
+    DatasetSummary { name, benchmarks, format, classes, feature_len, nodes, circuits }
+}
+
+/// Field-less enums travel as a `u8`: the variant's position in the
+/// listed order, which fixes the code independently of declarations.
+macro_rules! wire_by_position {
+    ($($ty:ty => $all:expr;)+) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                let code = $all.iter().position(|v| v == self);
+                w.u8(code.expect("every variant is listed") as u8);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                $all.get(usize::from(r.u8()?)).copied()
+            }
+        }
+    )+};
+}
+
+wire_by_position! {
+    GateType => ALL_GATE_TYPES;
+    InputKind => [InputKind::Primary, InputKind::Key];
+    NodeRole => [NodeRole::Design, NodeRole::Perturb, NodeRole::Restore, NodeRole::AntiSat];
+    CellLibrary => [CellLibrary::Bench8, CellLibrary::Lpe65, CellLibrary::Nangate45];
+    LabelScheme => [LabelScheme::AntiSat, LabelScheme::Sfll];
+    Suite => [Suite::Iscas85, Suite::Itc99];
+}
+
+// ---------------------------------------------------------------------
+// Domain types with a shape of their own
+// ---------------------------------------------------------------------
+
+impl Wire for GateId {
+    fn put(&self, w: &mut ByteWriter) {
+        w.usize(self.index());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(GateId::from_index(r.usize()?))
+    }
+}
+
+impl Wire for Driver {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            Driver::Input(id) => {
+                w.u8(0);
+                w.usize(id.index());
+            }
+            Driver::Gate(id) => {
+                w.u8(1);
+                w.usize(id.index());
+            }
+            Driver::Const(v) => {
+                w.u8(2);
+                w.bool(v);
+            }
+            Driver::Undriven => w.u8(3),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => Driver::Input(InputId::from_index(r.usize()?)),
+            1 => Driver::Gate(GateId::from_index(r.usize()?)),
+            2 => Driver::Const(r.bool()?),
+            3 => Driver::Undriven,
+            _ => return None,
+        })
+    }
+}
+
+impl Wire for Netlist {
+    fn put(&self, w: &mut ByteWriter) {
+        self.to_parts().put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Netlist::from_parts(NetlistParts::get(r)?)
+    }
+}
+
+impl Wire for Scheme {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            Scheme::AntiSat => w.u8(0),
+            Scheme::TtLock => w.u8(1),
+            Scheme::SfllHd(h) => {
+                w.u8(2);
+                w.u32(h);
+            }
+            Scheme::CasLock => w.u8(3),
+            Scheme::Rll => w.u8(4),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => Scheme::AntiSat,
+            1 => Scheme::TtLock,
+            2 => Scheme::SfllHd(r.u32()?),
+            3 => Scheme::CasLock,
+            4 => Scheme::Rll,
+            _ => return None,
+        })
+    }
+}
+
+impl Wire for DatasetScheme {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            DatasetScheme::AntiSat => w.u8(0),
+            DatasetScheme::CasLock => w.u8(1),
+            DatasetScheme::SfllHd(h) => {
+                w.u8(2);
+                w.u32(h);
             }
         }
     }
-    w.u64(parts.fresh_counter);
-}
-
-fn read_netlist(r: &mut ByteReader<'_>) -> Option<Netlist> {
-    let name = r.str()?;
-    let n_nets = r.usize()?;
-    let mut nets = Vec::with_capacity(n_nets.min(1 << 24));
-    for _ in 0..n_nets {
-        nets.push((r.str()?, read_driver(r)?));
-    }
-    let n_inputs = r.usize()?;
-    let mut inputs = Vec::with_capacity(n_inputs.min(1 << 20));
-    for _ in 0..n_inputs {
-        let name = r.str()?;
-        let kind = match r.u8()? {
-            0 => InputKind::Primary,
-            1 => InputKind::Key,
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => DatasetScheme::AntiSat,
+            1 => DatasetScheme::CasLock,
+            2 => DatasetScheme::SfllHd(r.u32()?),
             _ => return None,
-        };
-        inputs.push((name, kind, r.u32()?));
-    }
-    let n_outputs = r.usize()?;
-    let mut outputs = Vec::with_capacity(n_outputs.min(1 << 20));
-    for _ in 0..n_outputs {
-        outputs.push((r.str()?, r.u32()?));
-    }
-    let n_gates = r.usize()?;
-    let mut gates = Vec::with_capacity(n_gates.min(1 << 24));
-    for _ in 0..n_gates {
-        let alive = r.bool()?;
-        let ty = gate_type_from_code(r.u8()?)?;
-        let n_ins = r.usize()?;
-        let mut ins = Vec::with_capacity(n_ins.min(1 << 12));
-        for _ in 0..n_ins {
-            ins.push(r.u32()?);
-        }
-        let output = r.u32()?;
-        gates.push((alive, ty, ins, output, read_role(r)?));
-    }
-    let mut const_nets = [None, None];
-    for slot in &mut const_nets {
-        if r.bool()? {
-            *slot = Some(r.u32()?);
-        }
-    }
-    let fresh_counter = r.u64()?;
-    Netlist::from_parts(NetlistParts {
-        name,
-        nets,
-        inputs,
-        outputs,
-        gates,
-        const_nets,
-        fresh_counter,
-    })
-}
-
-fn write_scheme(w: &mut ByteWriter, s: Scheme) {
-    match s {
-        Scheme::AntiSat => w.u8(0),
-        Scheme::TtLock => w.u8(1),
-        Scheme::SfllHd(h) => {
-            w.u8(2);
-            w.u32(h);
-        }
-        Scheme::CasLock => w.u8(3),
-        Scheme::Rll => w.u8(4),
+        })
     }
 }
 
-fn read_scheme(r: &mut ByteReader<'_>) -> Option<Scheme> {
-    Some(match r.u8()? {
-        0 => Scheme::AntiSat,
-        1 => Scheme::TtLock,
-        2 => Scheme::SfllHd(r.u32()?),
-        3 => Scheme::CasLock,
-        4 => Scheme::Rll,
-        _ => return None,
-    })
-}
-
-fn write_locked(w: &mut ByteWriter, locked: &LockedCircuit) {
-    write_netlist(w, &locked.netlist);
-    write_scheme(w, locked.scheme);
-    let bits = locked.key.bits();
-    w.usize(bits.len());
-    for &b in bits {
-        w.bool(b);
+impl Wire for Key {
+    fn put(&self, w: &mut ByteWriter) {
+        put_seq(w, self.bits());
     }
-    w.usize(locked.protected_inputs.len());
-    for s in &locked.protected_inputs {
-        w.str(s);
-    }
-    w.str(&locked.target);
-}
-
-fn read_locked(r: &mut ByteReader<'_>) -> Option<LockedCircuit> {
-    let netlist = read_netlist(r)?;
-    let scheme = read_scheme(r)?;
-    let n = r.usize()?;
-    let mut bits = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        bits.push(r.bool()?);
-    }
-    let n = r.usize()?;
-    let mut protected_inputs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        protected_inputs.push(r.str()?);
-    }
-    Some(LockedCircuit {
-        netlist,
-        scheme,
-        key: Key::from_bits(bits),
-        protected_inputs,
-        target: r.str()?,
-    })
-}
-
-fn write_csr(w: &mut ByteWriter, csr: &Csr) {
-    let (offsets, targets) = csr.parts();
-    w.usize(offsets.len());
-    for &o in offsets {
-        w.usize(o);
-    }
-    w.usize(targets.len());
-    for &t in targets {
-        w.u32(t);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(Key::from_bits(Vec::get(r)?))
     }
 }
 
-fn read_csr(r: &mut ByteReader<'_>) -> Option<Csr> {
-    let n = r.usize()?;
-    let mut offsets = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        offsets.push(r.usize()?);
+impl Wire for Csr {
+    fn put(&self, w: &mut ByteWriter) {
+        let (offsets, targets) = self.parts();
+        put_seq(w, offsets);
+        put_seq(w, targets);
     }
-    let n = r.usize()?;
-    let mut targets = Vec::with_capacity(n.min(1 << 26));
-    for _ in 0..n {
-        targets.push(r.u32()?);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Csr::from_parts(Vec::get(r)?, Vec::get(r)?)
     }
-    Csr::from_parts(offsets, targets)
 }
 
-fn write_label_scheme(w: &mut ByteWriter, s: LabelScheme) {
-    w.u8(match s {
-        LabelScheme::AntiSat => 0,
-        LabelScheme::Sfll => 1,
-    });
-}
-
-fn read_label_scheme(r: &mut ByteReader<'_>) -> Option<LabelScheme> {
-    Some(match r.u8()? {
-        0 => LabelScheme::AntiSat,
-        1 => LabelScheme::Sfll,
-        _ => return None,
-    })
-}
-
-fn write_graph(w: &mut ByteWriter, g: &CircuitGraph) {
-    write_matrix(w, &g.features);
-    w.usize(g.labels.len());
-    for &l in &g.labels {
-        w.usize(l);
-    }
-    write_csr(w, &g.adj);
-    w.usize(g.gate_ids.len());
-    for &g_id in &g.gate_ids {
-        w.usize(g_id.index());
-    }
-    write_library(w, g.library);
-    write_label_scheme(w, g.scheme);
-    w.str(&g.name);
-}
-
-fn read_graph(r: &mut ByteReader<'_>) -> Option<CircuitGraph> {
-    let features = read_matrix(r)?;
-    let n = r.usize()?;
-    let mut labels = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        labels.push(r.usize()?);
-    }
-    let adj = read_csr(r)?;
-    let n = r.usize()?;
-    let mut gate_ids = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        gate_ids.push(GateId::from_index(r.usize()?));
-    }
-    Some(CircuitGraph {
-        features,
-        labels,
-        adj,
-        gate_ids,
-        library: read_library(r)?,
-        scheme: read_label_scheme(r)?,
-        name: r.str()?,
-    })
-}
-
-fn write_locked_instance(w: &mut ByteWriter, inst: &LockedInstance) {
-    w.str(&inst.benchmark);
-    w.usize(inst.key_bits);
-    w.usize(inst.copy);
-    write_netlist(w, &inst.original);
-    write_locked(w, &inst.locked);
-    write_graph(w, &inst.graph);
-}
-
-fn read_locked_instance(r: &mut ByteReader<'_>) -> Option<LockedInstance> {
-    Some(LockedInstance {
-        benchmark: r.str()?,
-        key_bits: r.usize()?,
-        copy: r.usize()?,
-        original: read_netlist(r)?,
-        locked: read_locked(r)?,
-        graph: read_graph(r)?,
-    })
-}
-
-fn write_dataset_config(w: &mut ByteWriter, cfg: &DatasetConfig) {
-    match cfg.scheme {
-        DatasetScheme::AntiSat => w.u8(0),
-        DatasetScheme::CasLock => w.u8(1),
-        DatasetScheme::SfllHd(h) => {
-            w.u8(2);
-            w.u32(h);
+/// Rows and columns, then the row-major data with no length prefix.
+impl Wire for Matrix {
+    fn put(&self, w: &mut ByteWriter) {
+        w.usize(self.rows());
+        w.usize(self.cols());
+        for x in self.data() {
+            x.put(w);
         }
     }
-    w.u8(matches!(cfg.suite, Suite::Itc99) as u8);
-    write_library(w, cfg.library);
-    w.usize(cfg.key_sizes.len());
-    for &k in &cfg.key_sizes {
-        w.usize(k);
-    }
-    w.usize(cfg.locks_per_config);
-    w.f64(cfg.scale);
-    w.u8(cfg.synth_effort);
-    w.u64(cfg.seed);
-}
-
-fn read_dataset_config(r: &mut ByteReader<'_>) -> Option<DatasetConfig> {
-    let scheme = match r.u8()? {
-        0 => DatasetScheme::AntiSat,
-        1 => DatasetScheme::CasLock,
-        2 => DatasetScheme::SfllHd(r.u32()?),
-        _ => return None,
-    };
-    let suite = match r.u8()? {
-        0 => Suite::Iscas85,
-        1 => Suite::Itc99,
-        _ => return None,
-    };
-    let library = read_library(r)?;
-    let n = r.usize()?;
-    let mut key_sizes = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        key_sizes.push(r.usize()?);
-    }
-    Some(DatasetConfig {
-        scheme,
-        suite,
-        library,
-        key_sizes,
-        locks_per_config: r.usize()?,
-        scale: r.f64()?,
-        synth_effort: r.u8()?,
-        seed: r.u64()?,
-    })
-}
-
-fn write_dataset(w: &mut ByteWriter, ds: &Dataset) {
-    write_dataset_config(w, &ds.config);
-    w.usize(ds.instances.len());
-    for inst in &ds.instances {
-        write_locked_instance(w, inst);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let (rows, cols) = (r.usize()?, r.usize()?);
+        let data = get_n(r, rows.checked_mul(cols)?)?;
+        Some(Matrix::from_vec(rows, cols, data))
     }
 }
 
-fn read_dataset(r: &mut ByteReader<'_>) -> Option<Dataset> {
-    let config = read_dataset_config(r)?;
-    let n = r.usize()?;
-    let mut instances = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        instances.push(read_locked_instance(r)?);
+impl Wire for SageModel {
+    fn put(&self, w: &mut ByteWriter) {
+        self.config.put(w);
+        for layer in self.parts() {
+            layer.put(w);
+        }
     }
-    Some(Dataset { config, instances })
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let config = ModelConfig::get(r)?;
+        let [encoder, layer1, layer2, head] = <[Linear; 4]>::get(r)?;
+        // Shape-check before from_parts so a corrupt payload decodes to a
+        // miss instead of panicking inside the assertion.
+        let (h, h2) = (config.hidden, config.hidden.checked_mul(2)?);
+        let shapes_ok = encoder.in_dim() == config.feature_len
+            && encoder.out_dim() == h
+            && layer1.in_dim() == h2
+            && layer1.out_dim() == h
+            && layer2.in_dim() == h2
+            && layer2.out_dim() == h
+            && head.in_dim() == h
+            && head.out_dim() == config.classes;
+        shapes_ok.then(|| SageModel::from_parts(config, encoder, layer1, layer2, head))
+    }
 }
 
-// ---------------------------------------------------------------------
-// Training-checkpoint payloads
-// ---------------------------------------------------------------------
-
-fn write_f32s(w: &mut ByteWriter, xs: &[f32]) {
-    w.usize(xs.len());
-    for &x in xs {
-        w.f32(x);
-    }
-}
-
-fn read_f32s(r: &mut ByteReader<'_>) -> Option<Vec<f32>> {
-    let n = r.usize()?;
-    let mut xs = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        xs.push(r.f32()?);
-    }
-    Some(xs)
-}
-
-fn write_optimizer(w: &mut ByteWriter, opt: &ModelOptimizer) {
-    let cfg = opt.config();
-    w.f32(cfg.lr);
-    w.f32(cfg.beta1);
-    w.f32(cfg.beta2);
-    w.f32(cfg.eps);
-    for state in opt.states() {
-        let (m, v, t) = state.parts();
-        write_f32s(w, m);
-        write_f32s(w, v);
+impl Wire for AdamState {
+    fn put(&self, w: &mut ByteWriter) {
+        let (m, v, t) = self.parts();
+        put_seq(w, m);
+        put_seq(w, v);
         w.u64(t);
     }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let (m, v, t) = <(Vec<f32>, Vec<f32>, u64)>::get(r)?;
+        (m.len() == v.len()).then(|| AdamState::from_parts(m, v, t))
+    }
 }
 
-fn read_optimizer(r: &mut ByteReader<'_>) -> Option<ModelOptimizer> {
-    let cfg = AdamConfig {
-        lr: r.f32()?,
-        beta1: r.f32()?,
-        beta2: r.f32()?,
-        eps: r.f32()?,
-    };
-    let mut states = Vec::with_capacity(8);
-    for _ in 0..8 {
-        let m = read_f32s(r)?;
-        let v = read_f32s(r)?;
-        if m.len() != v.len() {
+/// The Adam config, then the model's 8 fixed per-tensor states.
+impl Wire for ModelOptimizer {
+    fn put(&self, w: &mut ByteWriter) {
+        self.config().put(w);
+        for state in self.states() {
+            state.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let cfg = AdamConfig::get(r)?;
+        Some(ModelOptimizer::from_states(cfg, <[AdamState; 8]>::get(r)?))
+    }
+}
+
+impl Wire for Duration {
+    fn put(&self, w: &mut ByteWriter) {
+        w.f64(self.as_secs_f64());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        // try_from_secs_f64 rejects NaN, infinities, negatives AND
+        // over-range finite values — a malformed duration field must
+        // decode to a miss, never panic.
+        Duration::try_from_secs_f64(r.f64()?).ok()
+    }
+}
+
+/// The class count `k`, then the `k × k` confusion counts row by row.
+impl Wire for Metrics {
+    fn put(&self, w: &mut ByteWriter) {
+        let k = self.num_classes();
+        w.usize(k);
+        for l in 0..k {
+            for p in 0..k {
+                w.usize(self.count(l, p));
+            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let k = r.usize()?;
+        if k > 64 {
             return None;
         }
-        states.push(AdamState::from_parts(m, v, r.u64()?));
-    }
-    let states: [AdamState; 8] = states.try_into().ok()?;
-    Some(ModelOptimizer::from_states(cfg, states))
-}
-
-fn write_checkpoint(w: &mut ByteWriter, ckpt: &TrainCheckpoint) {
-    write_model(w, &ckpt.model);
-    write_optimizer(w, &ckpt.opt);
-    for word in ckpt.sampler_rng {
-        w.u64(word);
-    }
-    write_f32s(w, &ckpt.inclusion);
-    write_model(w, &ckpt.best);
-    w.f64(ckpt.best_val);
-    w.usize(ckpt.history.len());
-    for &(epoch, loss, acc) in &ckpt.history {
-        w.usize(epoch);
-        w.f32(loss);
-        w.f64(acc);
-    }
-    w.usize(ckpt.evals_since_best);
-    w.usize(ckpt.epochs_run);
-    w.bool(ckpt.done);
-    w.f64(ckpt.elapsed_secs);
-}
-
-fn read_checkpoint(r: &mut ByteReader<'_>) -> Option<TrainCheckpoint> {
-    let model = read_model(r)?;
-    let opt = read_optimizer(r)?;
-    let mut sampler_rng = [0u64; 4];
-    for word in &mut sampler_rng {
-        *word = r.u64()?;
-    }
-    let inclusion = read_f32s(r)?;
-    let best = read_model(r)?;
-    let best_val = r.f64()?;
-    let n = r.usize()?;
-    let mut history = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        history.push((r.usize()?, r.f32()?, r.f64()?));
-    }
-    Some(TrainCheckpoint {
-        model,
-        opt,
-        sampler_rng,
-        inclusion,
-        best,
-        best_val,
-        history,
-        evals_since_best: r.usize()?,
-        epochs_run: r.usize()?,
-        done: r.bool()?,
-        elapsed_secs: r.f64()?,
-    })
-}
-
-fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
-    w.usize(m.rows());
-    w.usize(m.cols());
-    for &x in m.data() {
-        w.f32(x);
+        let rows = (0..k).map(|_| get_n(r, k)).collect::<Option<_>>()?;
+        Some(Metrics::from_confusion(rows))
     }
 }
 
-fn read_matrix(r: &mut ByteReader<'_>) -> Option<Matrix> {
-    let rows = r.usize()?;
-    let cols = r.usize()?;
-    let n = rows.checked_mul(cols)?;
-    let mut data = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        data.push(r.f32()?);
+/// `removal_success` travels as one byte: 0 failed, 1 succeeded, 2 not
+/// attempted.
+impl Wire for InstanceOutcome {
+    fn put(&self, w: &mut ByteWriter) {
+        self.benchmark.put(w);
+        self.key_bits.put(w);
+        self.gnn.put(w);
+        self.post.put(w);
+        w.u8(match self.removal_success {
+            Some(false) => 0,
+            Some(true) => 1,
+            None => 2,
+        });
+        self.misclassifications.put(w);
     }
-    Some(Matrix::from_vec(rows, cols, data))
-}
-
-fn write_linear(w: &mut ByteWriter, l: &Linear) {
-    write_matrix(w, &l.weight);
-    w.usize(l.bias.len());
-    for &b in &l.bias {
-        w.f32(b);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(InstanceOutcome {
+            benchmark: Wire::get(r)?,
+            key_bits: Wire::get(r)?,
+            gnn: Wire::get(r)?,
+            post: Wire::get(r)?,
+            removal_success: match r.u8()? {
+                0 => Some(false),
+                1 => Some(true),
+                2 => None,
+                _ => return None,
+            },
+            misclassifications: Wire::get(r)?,
+        })
     }
-}
-
-fn read_linear(r: &mut ByteReader<'_>) -> Option<Linear> {
-    let weight = read_matrix(r)?;
-    let n = r.usize()?;
-    let mut bias = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        bias.push(r.f32()?);
-    }
-    Some(Linear { weight, bias })
-}
-
-fn write_model(w: &mut ByteWriter, m: &SageModel) {
-    w.usize(m.config.feature_len);
-    w.usize(m.config.hidden);
-    w.usize(m.config.classes);
-    w.f64(m.config.dropout);
-    w.u64(m.config.seed);
-    for layer in m.parts() {
-        write_linear(w, layer);
-    }
-}
-
-fn read_model(r: &mut ByteReader<'_>) -> Option<SageModel> {
-    let config = ModelConfig {
-        feature_len: r.usize()?,
-        hidden: r.usize()?,
-        classes: r.usize()?,
-        dropout: r.f64()?,
-        seed: r.u64()?,
-    };
-    let encoder = read_linear(r)?;
-    let layer1 = read_linear(r)?;
-    let layer2 = read_linear(r)?;
-    let head = read_linear(r)?;
-    // Shape-check before from_parts so a corrupt payload decodes to a
-    // miss instead of panicking inside the assertion.
-    let h = config.hidden;
-    let shapes_ok = encoder.in_dim() == config.feature_len
-        && encoder.out_dim() == h
-        && layer1.in_dim() == 2 * h
-        && layer1.out_dim() == h
-        && layer2.in_dim() == 2 * h
-        && layer2.out_dim() == h
-        && head.in_dim() == h
-        && head.out_dim() == config.classes;
-    shapes_ok.then(|| SageModel::from_parts(config, encoder, layer1, layer2, head))
-}
-
-fn write_train_report(w: &mut ByteWriter, r: &TrainReport) {
-    w.f64(r.best_val_accuracy);
-    w.usize(r.epochs_run);
-    w.f64(r.train_time.as_secs_f64());
-    w.usize(r.history.len());
-    for &(epoch, loss, acc) in &r.history {
-        w.usize(epoch);
-        w.f32(loss);
-        w.f64(acc);
-    }
-}
-
-fn read_train_report(r: &mut ByteReader<'_>) -> Option<TrainReport> {
-    let best_val_accuracy = r.f64()?;
-    let epochs_run = r.usize()?;
-    // try_from_secs_f64 rejects NaN, infinities, negatives AND
-    // over-range finite values — a malformed duration field must decode
-    // to a miss, never panic.
-    let train_time = Duration::try_from_secs_f64(r.f64()?).ok()?;
-    let n = r.usize()?;
-    let mut history = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        history.push((r.usize()?, r.f32()?, r.f64()?));
-    }
-    Some(TrainReport {
-        best_val_accuracy,
-        epochs_run,
-        train_time,
-        history,
-    })
-}
-
-fn write_metrics(w: &mut ByteWriter, m: &Metrics) {
-    let k = m.num_classes();
-    w.usize(k);
-    for l in 0..k {
-        for p in 0..k {
-            w.usize(m.count(l, p));
-        }
-    }
-}
-
-fn read_metrics(r: &mut ByteReader<'_>) -> Option<Metrics> {
-    let k = r.usize()?;
-    if k > 64 {
-        return None;
-    }
-    let mut confusion = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut row = Vec::with_capacity(k);
-        for _ in 0..k {
-            row.push(r.usize()?);
-        }
-        confusion.push(row);
-    }
-    Some(Metrics::from_confusion(confusion))
-}
-
-fn write_instance_outcome(w: &mut ByteWriter, o: &InstanceOutcome) {
-    w.str(&o.benchmark);
-    w.usize(o.key_bits);
-    write_metrics(w, &o.gnn);
-    write_metrics(w, &o.post);
-    match o.removal_success {
-        None => w.u8(2),
-        Some(false) => w.u8(0),
-        Some(true) => w.u8(1),
-    }
-    w.usize(o.misclassifications.len());
-    for s in &o.misclassifications {
-        w.str(s);
-    }
-}
-
-fn read_instance_outcome(r: &mut ByteReader<'_>) -> Option<InstanceOutcome> {
-    let benchmark = r.str()?;
-    let key_bits = r.usize()?;
-    let gnn = read_metrics(r)?;
-    let post = read_metrics(r)?;
-    let removal_success = match r.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        2 => None,
-        _ => return None,
-    };
-    let n = r.usize()?;
-    let mut misclassifications = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        misclassifications.push(r.str()?);
-    }
-    Some(InstanceOutcome {
-        benchmark,
-        key_bits,
-        gnn,
-        post,
-        removal_success,
-        misclassifications,
-    })
-}
-
-fn write_attack_outcome(w: &mut ByteWriter, o: &AttackOutcome) {
-    w.str(&o.benchmark);
-    w.usize(o.instances.len());
-    for inst in &o.instances {
-        write_instance_outcome(w, inst);
-    }
-    write_train_report(w, &o.train_report);
-}
-
-fn read_attack_outcome(r: &mut ByteReader<'_>) -> Option<AttackOutcome> {
-    let benchmark = r.str()?;
-    let n = r.usize()?;
-    let mut instances = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        instances.push(read_instance_outcome(r)?);
-    }
-    let train_report = read_train_report(r)?;
-    Some(AttackOutcome {
-        benchmark,
-        instances,
-        train_report,
-    })
-}
-
-fn write_summary(w: &mut ByteWriter, s: &DatasetSummary) {
-    w.str(&s.name);
-    w.str(&s.benchmarks);
-    w.str(&s.format);
-    w.usize(s.classes);
-    w.usize(s.feature_len);
-    w.usize(s.nodes);
-    w.usize(s.circuits);
-}
-
-fn read_summary(r: &mut ByteReader<'_>) -> Option<DatasetSummary> {
-    Some(DatasetSummary {
-        name: r.str()?,
-        benchmarks: r.str()?,
-        format: r.str()?,
-        classes: r.usize()?,
-        feature_len: r.usize()?,
-        nodes: r.usize()?,
-        circuits: r.usize()?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnunlock_engine::fingerprint;
+    use gnnunlock_gnn::{SaintConfig, TrainConfig, TrainState};
     use gnnunlock_neural::Metrics;
+
+    /// FNV-1a of each payload tag's fixture encoding (`pinned_payloads`).
+    /// These pin the on-disk format: existing cache directories stay
+    /// readable only while every one of them holds, so a codec change
+    /// that alters a single byte fails here, under the tag it broke.
+    const PINNED_FNV: [(&str, u64); 11] = [
+        ("netlist-v1", 0x773068d23339ba81),
+        ("locked-v1", 0x9a60df1e8a0a74fe),
+        ("instance-v1", 0xa2e52f7d1176d586),
+        ("dataset-v1", 0x601728000f1b6277),
+        ("ckpt-v1", 0xcbfec7383d24dac9),
+        ("train-v1", 0x5a947dc5944c4cd5),
+        ("classify-v1", 0xd22ec07d11b4f115),
+        ("remove-v1", 0x8ce2d46b6eaf6b6f),
+        ("verify-v1", 0x7dd341f83e8fe470),
+        ("aggregate-v1", 0xb7f9ebf9f1d3b513),
+        ("summary-v1", 0xef1eaec53225cb9d),
+    ];
+
+    fn assert_pinned(bytes: &[u8]) {
+        let tag = ByteReader::new(bytes).str().expect("tagged payload");
+        let (_, pinned) = PINNED_FNV
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .expect("every tag is pinned");
+        let actual = fingerprint(bytes);
+        assert_eq!(
+            actual, *pinned,
+            "{tag} payload format drifted (fingerprint {actual:#018x})"
+        );
+    }
+
+    /// One encoded fixture per payload tag, in `PINNED_FNV` order.
+    fn pinned_payloads() -> Vec<(JobKind, Vec<u8>)> {
+        let inst = tiny_instance();
+        let outcome = sample_outcome();
+        let verdict = outcome.instances[0].clone();
+        let summary = DatasetSummary {
+            name: "Anti-SAT".into(),
+            benchmarks: "ISCAS-85".into(),
+            format: "Bench".into(),
+            classes: 3,
+            feature_len: 13,
+            nodes: 1234,
+            circuits: 5,
+        };
+        let values: Vec<(JobKind, JobValue)> = vec![
+            (JobKind::Parse, Arc::new(Some(inst.original.clone()))),
+            (JobKind::Lock, Arc::new(Some(inst.locked.clone()))),
+            (JobKind::Featurize, Arc::new(Some(inst.clone()))),
+            (
+                JobKind::Dataset,
+                Arc::new(Dataset {
+                    config: DatasetConfig::antisat(Suite::Iscas85, 0.02),
+                    instances: vec![inst.clone()],
+                }),
+            ),
+            (JobKind::TrainEpoch, Arc::new(Some(tiny_training().2))),
+            (
+                JobKind::Train,
+                Arc::new(Some((
+                    SageModel::new(ModelConfig::new(13, 8, 3)),
+                    outcome.train_report.clone(),
+                ))),
+            ),
+            (
+                JobKind::Classify,
+                Arc::new(Some(ClassifyArtifact {
+                    outcome: verdict.clone(),
+                    preds: vec![0, 1, 1, 0],
+                })),
+            ),
+            (
+                JobKind::Remove,
+                Arc::new(Some(RemovalArtifact {
+                    outcome: verdict.clone(),
+                    recovered: inst.original.clone(),
+                })),
+            ),
+            (JobKind::Verify, Arc::new(Some(verdict))),
+            (JobKind::Aggregate, Arc::new(vec![outcome])),
+            (JobKind::Custom("summary"), Arc::new(summary)),
+        ];
+        values
+            .into_iter()
+            .map(|(kind, v)| (kind, PipelineCodec.encode(kind, &v).expect("encodable")))
+            .collect()
+    }
+
+    /// A small graph, its training config and the checkpoint after five
+    /// epochs (wall-clock field zeroed: it is volatile, not numeric).
+    fn tiny_training() -> (CircuitGraph, TrainConfig, TrainCheckpoint) {
+        let g = tiny_instance().graph;
+        let cfg = TrainConfig {
+            epochs: 12,
+            hidden: 8,
+            eval_every: 4,
+            patience: 0,
+            saint: SaintConfig {
+                roots: 50,
+                walk_length: 2,
+                estimation_rounds: 2,
+                seed: 3,
+            },
+            ..TrainConfig::default()
+        };
+        let mut state = TrainState::new(&g, &g, &cfg);
+        for _ in 0..5 {
+            state.step_epoch(&g, &g);
+        }
+        let mut ckpt = state.checkpoint();
+        ckpt.elapsed_secs = 0.0;
+        (g, cfg, ckpt)
+    }
 
     fn sample_outcome() -> AttackOutcome {
         let gnn = Metrics::from_predictions(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
@@ -1129,6 +769,16 @@ mod tests {
     #[test]
     fn stage_artifacts_round_trip_bit_exact() {
         let codec = PipelineCodec;
+        // Every tag's payload bytes are pinned, and decoding then
+        // re-encoding reproduces them exactly.
+        let payloads = pinned_payloads();
+        assert_eq!(payloads.len(), PINNED_FNV.len());
+        for (kind, bytes) in &payloads {
+            assert_pinned(bytes);
+            let back = codec.decode(*kind, bytes).expect("decodable");
+            assert_eq!(codec.encode(*kind, &back).as_ref(), Some(bytes));
+        }
+
         let inst = tiny_instance();
 
         // Parse: the original netlist.
@@ -1232,34 +882,15 @@ mod tests {
 
     #[test]
     fn training_checkpoint_round_trips_bit_exact() {
-        use gnnunlock_gnn::{SaintConfig, TrainConfig, TrainState};
-        let inst = tiny_instance();
-        let train_g = inst.graph.clone();
-        let val_g = inst.graph.clone();
-        let cfg = TrainConfig {
-            epochs: 12,
-            hidden: 8,
-            eval_every: 4,
-            patience: 0,
-            saint: SaintConfig {
-                roots: 50,
-                walk_length: 2,
-                estimation_rounds: 2,
-                seed: 3,
-            },
-            ..TrainConfig::default()
-        };
-        let mut state = TrainState::new(&train_g, &val_g, &cfg);
-        for _ in 0..5 {
-            state.step_epoch(&train_g, &val_g);
-        }
-        let ckpt = state.checkpoint();
+        let (g, cfg, ckpt) = tiny_training();
+        let (train_g, val_g) = (&g, &g);
 
         let codec = PipelineCodec;
         let value: JobValue = Arc::new(Some(ckpt.clone()) as CheckpointValue);
         let bytes = codec
             .encode(JobKind::TrainEpoch, &value)
             .expect("encodable");
+        assert_pinned(&bytes);
         let back = codec
             .decode(JobKind::TrainEpoch, &bytes)
             .expect("decodable");
@@ -1283,10 +914,10 @@ mod tests {
 
         // Continuing from the decoded checkpoint reproduces the exact
         // trajectory of continuing in-memory.
-        let mut mem = TrainState::from_checkpoint(&train_g, &cfg, &ckpt);
-        let mut disk = TrainState::from_checkpoint(&train_g, &cfg, back_ckpt);
-        while !mem.step_epoch(&train_g, &val_g) {}
-        while !disk.step_epoch(&train_g, &val_g) {}
+        let mut mem = TrainState::from_checkpoint(train_g, &cfg, &ckpt);
+        let mut disk = TrainState::from_checkpoint(train_g, &cfg, back_ckpt);
+        while !mem.step_epoch(train_g, val_g) {}
+        while !disk.step_epoch(train_g, val_g) {}
         let (m1, r1) = mem.finish();
         let (m2, r2) = disk.finish();
         assert_eq!(r1.history, r2.history);
@@ -1302,14 +933,36 @@ mod tests {
         let value: JobValue = Arc::new(vec![sample_outcome()]);
         let bytes = codec.encode(JobKind::Aggregate, &value).unwrap();
         assert!(codec.decode(JobKind::Train, &bytes).is_none());
-        // Truncated payload.
-        assert!(codec
-            .decode(JobKind::Aggregate, &bytes[..bytes.len() - 3])
-            .is_none());
-        // Trailing garbage.
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(codec.decode(JobKind::Aggregate, &extended).is_none());
+        // Every strict prefix of every pinned payload is truncated, and
+        // one appended byte is trailing garbage: both are misses, never
+        // panics.
+        for (kind, bytes) in pinned_payloads() {
+            for end in 0..bytes.len() {
+                assert!(
+                    codec.decode(kind, &bytes[..end]).is_none(),
+                    "{kind:?} prefix of {end}/{} bytes decoded",
+                    bytes.len()
+                );
+            }
+            let mut extended = bytes;
+            extended.push(0);
+            assert!(codec.decode(kind, &extended).is_none());
+        }
+        // A forged hidden width whose doubled shape check would overflow.
+        let mut w = ByteWriter::new();
+        w.str("train-v1");
+        w.bool(true);
+        for config_field in [0, 1 << 63, 0] {
+            w.usize(config_field); // feature_len, hidden, classes
+        }
+        w.f64(0.5);
+        w.u64(1);
+        for (rows, cols) in [(0, 1 << 63), (0, 0), (0, 0), (0, 0)] {
+            w.usize(rows);
+            w.usize(cols);
+            w.usize(0); // bias length
+        }
+        assert!(codec.decode(JobKind::Train, &w.into_bytes()).is_none());
         // Values the codec does not cover are declined on encode.
         let shard: JobValue = Arc::new(42u64);
         assert!(codec.encode(JobKind::Lock, &shard).is_none());

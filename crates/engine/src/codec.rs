@@ -9,10 +9,10 @@
 //! will be recomputed by cold processes; deterministic stages make that
 //! safe, merely slower.
 //!
-//! [`ByteWriter`] / [`ByteReader`] are the little-endian primitives both
-//! the store's entry headers and downstream codecs are built on. Reads
-//! are all checked (`Option`), so a truncated or alien payload decodes
-//! to `None` instead of panicking — the cache treats that as a miss.
+//! [`ByteWriter`] / [`ByteReader`] are the little-endian primitives
+//! downstream codecs are built on (the store parses its entry headers
+//! itself). Reads are all checked (`Option`): a truncated or alien
+//! payload decodes to `None`, which the cache treats as a miss.
 
 use crate::graph::{JobKind, JobValue};
 
@@ -120,6 +120,11 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// How many bytes are still unread.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
@@ -198,6 +203,7 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.remaining(), bytes.len());
         assert_eq!(r.u8(), Some(7));
         assert_eq!(r.u32(), Some(0xdead_beef));
         assert_eq!(r.u64(), Some(u64::MAX));
@@ -208,6 +214,7 @@ mod tests {
         assert_eq!(r.str().as_deref(), Some("héllo"));
         assert_eq!(r.bytes(), Some(&[1u8, 2, 3][..]));
         assert!(r.is_exhausted());
+        assert_eq!(r.remaining(), 0);
         // Reads past the end fail instead of panicking.
         assert_eq!(r.u8(), None);
     }
