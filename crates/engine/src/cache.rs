@@ -17,6 +17,16 @@
 //! injected by a [`crate::Faulty`] backend, which the cache tolerates the
 //! same way it tolerates real I/O errors: persistence is best-effort,
 //! the memory tier stays authoritative.
+//!
+//! **Which hits decode.** [`ResultCache::lookup`] returns a value: a disk
+//! hit is loaded, checksum-verified, decoded and promoted to memory.
+//! [`ResultCache::probe`] only establishes that a result exists: a disk
+//! hit is loaded and verified the same way, then its bytes are dropped
+//! undecoded. The executor probes every job whose output feeds another
+//! job of the graph and looks up only the jobs nothing depends on (the
+//! ones callers read), so a fully warm run decodes just its sinks. An
+//! undecoded hit is decoded later, through `lookup`, only if a dependent
+//! actually executes and needs its value.
 
 use crate::codec::ValueCodec;
 use crate::graph::{JobKind, JobValue};
@@ -59,7 +69,9 @@ impl CacheSource {
 pub struct CacheStats {
     /// Lookups served by the memory tier.
     pub hits: usize,
-    /// Lookups served by the disk tier (decoded and promoted to memory).
+    /// Probes and lookups served by the disk tier: the entry loaded and
+    /// passed its checksum. A lookup also decoded it and promoted it to
+    /// memory; a probe dropped the bytes undecoded.
     pub disk_hits: usize,
     /// Lookups that found nothing in any tier.
     pub misses: usize,
@@ -124,6 +136,31 @@ impl ResultCache {
                 // readable replacement (put skips the disk write when
                 // an entry file is already present).
                 store.evict_entry(kind, fingerprint);
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Whether a result exists, without decoding it: a memory hit
+    /// returns its value, a disk hit `None` — the entry is loaded and
+    /// its header and checksum verified (a corrupt entry is evicted and
+    /// counted a miss), then its bytes are dropped. Whether the codec
+    /// accepts the payload is not checked here; a later
+    /// [`ResultCache::lookup`] of a declined entry evicts it and misses.
+    pub fn probe(
+        &self,
+        kind: JobKind,
+        fingerprint: u64,
+    ) -> Option<(Option<JobValue>, CacheSource)> {
+        if let Some(v) = self.map.lock().unwrap().get(&(kind, fingerprint)).cloned() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some((Some(v), CacheSource::Memory));
+        }
+        if let Some((store, _)) = &self.disk {
+            if store.load(kind, fingerprint).is_some() {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return Some((None, CacheSource::Disk));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -260,6 +297,42 @@ mod tests {
         // Unencodable values (not Strings) stay memory-only.
         cache.put(JobKind::Lock, 6, Arc::new(42u64));
         assert_eq!(store.stats().saves, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn probe_verifies_a_disk_hit_without_decoding_it() {
+        let dir =
+            std::env::temp_dir().join(format!("gnnunlock-cache-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskStore::open(&dir).unwrap());
+        let cache = ResultCache::with_disk(store.clone(), Arc::new(StringCodec));
+        cache.put(JobKind::Train, 5, Arc::new("hello".to_string()));
+        // A memory hit carries its value.
+        let (v, src) = cache.probe(JobKind::Train, 5).expect("memory hit");
+        assert_eq!(src, CacheSource::Memory);
+        assert_eq!(v.unwrap().downcast_ref::<String>().unwrap(), "hello");
+
+        // A disk hit is loaded and verified, but neither decoded nor
+        // promoted: the next probe goes to disk again.
+        cache.clear();
+        for _ in 0..2 {
+            let (v, src) = cache.probe(JobKind::Train, 5).expect("disk hit");
+            assert_eq!(src, CacheSource::Disk);
+            assert!(v.is_none());
+        }
+        assert!(cache.is_empty());
+        assert_eq!(store.stats().loads, 2);
+        assert_eq!(cache.stats().disk_hits, 2);
+        assert!(cache.probe(JobKind::Train, 6).is_none());
+        assert_eq!(cache.stats().misses, 1);
+
+        // A payload the codec declines still probes as a hit (checksums
+        // are intact); the lookup that decodes it evicts it and misses.
+        store.save(JobKind::Lock, 7, &[0xff, 0xfe]).unwrap();
+        assert_eq!(cache.probe(JobKind::Lock, 7).unwrap().1, CacheSource::Disk);
+        assert!(cache.lookup(JobKind::Lock, 7).is_none());
+        assert!(!store.contains(JobKind::Lock, 7));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

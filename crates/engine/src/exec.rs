@@ -12,11 +12,23 @@
 //! and failure text for every failed job (including panicking bodies) —
 //! flushed per event, so long campaigns are observable and a crashed
 //! run's progress is replayable.
+//!
+//! Every fingerprinted job is probed against the [`ResultCache`] before
+//! it runs, but only values something reads are decoded. A sink (a job
+//! no other job depends on — what callers read through
+//! [`RunOutcome::value`]) is looked up: a disk hit is decoded. An
+//! interior job is only probed: a disk hit is loaded and verified, then
+//! recorded as a hit with an empty value slot. A dependent that executes
+//! demands each empty slot it needs: the first decodes the entry and
+//! fills the slot for its siblings. Should that entry no longer decode,
+//! the job runs its retained body on the demanding worker and publishes,
+//! as a probe-time miss would have. A fully warm run therefore decodes
+//! only its sinks.
 
 use crate::cache::{CacheSource, ResultCache};
 use crate::cancel::CancelToken;
 use crate::events::{Event, EventLog};
-use crate::graph::{JobCtx, JobGraph, JobId, JobKind, JobValue};
+use crate::graph::{JobCtx, JobFn, JobGraph, JobId, JobKind, JobValue};
 use crate::metrics;
 use crate::pool::default_workers;
 use gnnunlock_telemetry as telemetry;
@@ -248,6 +260,13 @@ impl RunOutcome {
     /// The output of a succeeded job, downcast to its concrete type.
     /// `None` if the job did not succeed; panics on a type mismatch
     /// (a graph-construction bug).
+    ///
+    /// Caveat: a fingerprinted job with dependents that was served from
+    /// the disk tier holds no value unless a dependent executed and
+    /// demanded it — its entry was verified but never decoded — so this
+    /// returns `None` for it (like the [`crate::Elided`] placeholders of
+    /// sharded probe-ahead). Sinks, the jobs nothing depends on, always
+    /// hold their value.
     pub fn value<T: Send + Sync + 'static>(&self, id: JobId) -> Option<Arc<T>> {
         self.values[id.index()].as_ref().map(|v| {
             v.clone()
@@ -303,6 +322,10 @@ pub struct Executor {
     ready_hint: Option<Arc<ReadyHint>>,
 }
 
+/// A job's terminal status, its value if it succeeded, and its
+/// execution time.
+type Outcome = (JobStatus, Option<JobValue>, Duration);
+
 struct Sched<'a> {
     nodes: Vec<crate::graph::JobNode<'a>>,
     remaining: Vec<usize>,
@@ -313,7 +336,11 @@ struct Sched<'a> {
     /// When each job entered the ready set (taken at claim time to
     /// observe queue wait; `None` once claimed or not yet ready).
     ready_at: Vec<Option<Instant>>,
+    /// Job outputs. A fingerprinted job with dependents that was served
+    /// from disk leaves its slot empty until a dependent demands it.
     values: Vec<Option<JobValue>>,
+    /// Whether a dependent is decoding (or re-running) job `i`'s value.
+    resolving: Vec<bool>,
     records: Vec<Option<(JobStatus, CacheSource, Duration)>>,
     /// Spans drained from worker thread-local buffers at job boundaries.
     spans: Vec<SpanRecord>,
@@ -408,6 +435,7 @@ impl Executor {
             ready,
             ready_at,
             values: vec![None; n],
+            resolving: vec![false; n],
             records: vec![None; n],
             spans: Vec::new(),
             pending: n,
@@ -522,20 +550,29 @@ impl Executor {
                 continue;
             }
 
-            let node = &mut guard.nodes[i];
+            let node = &guard.nodes[i];
             let label = node.label.clone();
             let kind = node.kind;
             let fingerprint = node.fingerprint;
-            let run = node.run.take().expect("job claimed twice");
             let dep_ids = node.deps.clone();
+            // A sink's value is what callers read; an interior job's
+            // value is read only by a dependent that executes.
+            let sink = guard.dependents[i].is_empty();
 
             // Cache probe. The memory tier is a HashMap lookup, but the
             // disk tier does file I/O, so probe outside the lock: claim
-            // the job, release the scheduler, then look up.
+            // the job, release the scheduler, then look up. An interior
+            // disk hit is verified but not decoded: its value slot stays
+            // empty until a dependent demands it (see `demand`), and its
+            // body stays in the graph as that demand's fallback.
             if let Some(fp) = fingerprint {
                 drop(guard);
                 let probe_t0 = Instant::now();
-                let found = self.cache.lookup(kind, fp);
+                let found = if sink {
+                    self.cache.lookup(kind, fp).map(|(v, src)| (Some(v), src))
+                } else {
+                    self.cache.probe(kind, fp)
+                };
                 if let Some((_, source)) = &found {
                     let tag = kind.tag();
                     metrics::cache_hits(tag, source.tag()).inc();
@@ -546,7 +583,7 @@ impl Executor {
                 }
                 guard = sched.lock().unwrap();
                 if let Some((value, source)) = found {
-                    guard.values[i] = Some(value);
+                    guard.values[i] = value;
                     let mut spans = telemetry::take_thread_spans();
                     guard.spans.append(&mut spans);
                     Self::finish(&mut guard, i, JobStatus::Succeeded, source, Duration::ZERO);
@@ -562,110 +599,213 @@ impl Executor {
                 }
             }
 
-            let dep_values: Vec<JobValue> = dep_ids
-                .iter()
-                .map(|d| guard.values[d.index()].clone().expect("dep value missing"))
-                .collect();
+            let run = guard.nodes[i].run.take().expect("job claimed twice");
             drop(guard);
-
-            self.emit(Event::JobStarted {
-                id: i,
-                label: label.clone(),
-            });
-            let t0 = Instant::now();
-            let ctx = JobCtx {
-                deps: &dep_values,
-                cancel: &self.cfg.cancel,
-            };
-            // A body that panics must become a Failed job, not a dead
-            // worker: an unwinding worker would leave `pending` stuck
-            // above zero and deadlock its siblings on the condvar.
-            let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&ctx)))
-                .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(payload))));
-            let elapsed = t0.elapsed();
-            let ms = elapsed.as_secs_f64() * 1e3;
-
-            // Telemetry at the job boundary: counters + histograms are
-            // relaxed atomics (handle lookup is a cold registration
-            // map), and the span goes to this thread's local buffer.
-            let tag = kind.tag();
             if let Some(q) = queued_s {
-                metrics::stage_queue_seconds(tag).observe(q);
+                metrics::stage_queue_seconds(kind.tag()).observe(q);
             }
-            metrics::stage_wall_seconds(tag).observe(elapsed.as_secs_f64());
-            match &output {
-                Ok(_) => metrics::jobs_executed(tag).inc(),
-                Err(_) => metrics::jobs_failed(tag).inc(),
-            }
-            let span_id = fingerprint.unwrap_or_else(|| telemetry::derived_id(0, &label));
-            telemetry::record_span_at(&label, tag, span_id, 0, t0, t0 + elapsed);
-
-            match &output {
-                Ok(_) => self.emit(Event::JobFinished {
-                    id: i,
-                    label: label.clone(),
-                    status: "ok".into(),
-                    ms,
-                }),
-                Err(msg) => {
-                    // Surface the failure — panic text included — in the
-                    // event stream with the job id, not only in the
-                    // final report.
-                    self.emit(Event::StageError {
-                        id: i,
-                        label: label.clone(),
-                        error: msg.clone(),
-                    });
-                    self.emit(Event::JobFinished {
-                        id: i,
-                        label: label.clone(),
-                        status: "failed".into(),
-                        ms,
-                    });
-                }
-            }
-
-            // Persist before re-locking: `put` may encode + write to
-            // disk, which must not serialize the scheduler. The
-            // after-job hook runs strictly after the publish (and on
-            // failure too), so a lease released there never exposes a
-            // window where the job is neither leased nor materialized.
-            if let (Ok(value), Some(fp)) = (&output, fingerprint) {
-                self.cache.put(kind, fp, value.clone());
-            }
-            if let (Some(hook), Some(fp)) = (&self.after_job, fingerprint) {
-                hook(kind, fp, output.is_ok());
-            }
+            let (status, value, elapsed) = match self.resolve(sched, work_available, &dep_ids) {
+                Ok(dep_values) => self.execute(i, &label, kind, fingerprint, run, &dep_values),
+                Err(why) => self.skip(i, label, why),
+            };
 
             guard = sched.lock().unwrap();
             {
                 // Flush this thread's span buffer (the job span plus any
-                // spans the body recorded) into the run's aggregate.
+                // spans the body, or a dependency it re-ran, recorded)
+                // into the run's aggregate.
                 let mut spans = telemetry::take_thread_spans();
                 guard.spans.append(&mut spans);
             }
-            match output {
-                Ok(value) => {
-                    guard.values[i] = Some(value);
-                    Self::finish(
-                        &mut guard,
-                        i,
-                        JobStatus::Succeeded,
-                        CacheSource::None,
-                        elapsed,
-                    );
-                }
-                Err(msg) => {
-                    Self::finish(
-                        &mut guard,
-                        i,
-                        JobStatus::Failed(msg),
-                        CacheSource::None,
-                        elapsed,
-                    );
-                }
-            }
+            guard.values[i] = value;
+            Self::finish(&mut guard, i, status, CacheSource::None, elapsed);
             work_available.notify_all();
+        }
+    }
+
+    /// The values of `deps`, in order, demanding any a cache hit left
+    /// undecoded. `Err` is the skip reason of the first dependency that
+    /// could not be produced.
+    fn resolve(
+        &self,
+        sched: &Mutex<Sched<'_>>,
+        work_available: &Condvar,
+        deps: &[JobId],
+    ) -> Result<Vec<JobValue>, String> {
+        let have: Vec<Option<JobValue>> = {
+            let guard = sched.lock().unwrap();
+            deps.iter()
+                .map(|d| guard.values[d.index()].clone())
+                .collect()
+        };
+        deps.iter()
+            .zip(have)
+            .map(|(d, v)| match v {
+                Some(v) => Ok(v),
+                None => self.demand(sched, work_available, d.index()),
+            })
+            .collect()
+    }
+
+    /// The value of finished job `d`, for a dependent about to execute.
+    /// An interior disk hit left its slot empty: the first dependent to
+    /// need it decodes it through [`ResultCache::lookup`] and fills the
+    /// slot, while sibling dependents wait and then reuse it. If the
+    /// entry no longer decodes (it vanished, is corrupt, fails to load,
+    /// or holds a payload the codec declines), `d` runs its retained
+    /// body here, exactly as a probe-time miss would have, and its
+    /// record becomes that execution's.
+    fn demand(
+        &self,
+        sched: &Mutex<Sched<'_>>,
+        work_available: &Condvar,
+        d: usize,
+    ) -> Result<JobValue, String> {
+        let mut guard = sched.lock().unwrap();
+        loop {
+            if let Some(v) = &guard.values[d] {
+                return Ok(v.clone());
+            }
+            let (status, ..) = guard.records[d].as_ref().expect("dependency not finished");
+            if *status != JobStatus::Succeeded {
+                return Err(Self::dep_failure(&guard.nodes[d].label, status));
+            }
+            if !guard.resolving[d] {
+                break;
+            }
+            guard = work_available.wait(guard).unwrap();
+        }
+        guard.resolving[d] = true;
+        let node = &guard.nodes[d];
+        let (label, kind, deps) = (node.label.clone(), node.kind, node.deps.clone());
+        let fp = node
+            .fingerprint
+            .expect("only fingerprinted jobs are cache hits");
+        drop(guard);
+
+        if let Some((value, _)) = self.cache.lookup(kind, fp) {
+            let mut guard = sched.lock().unwrap();
+            guard.values[d] = Some(value.clone());
+            guard.resolving[d] = false;
+            work_available.notify_all();
+            return Ok(value);
+        }
+        let (status, value, elapsed) = match self.resolve(sched, work_available, &deps) {
+            Ok(dep_values) => {
+                let run = sched.lock().unwrap().nodes[d]
+                    .run
+                    .take()
+                    .expect("a cache hit keeps its body");
+                self.execute(d, &label, kind, Some(fp), run, &dep_values)
+            }
+            Err(why) => self.skip(d, label.clone(), why),
+        };
+
+        // A dependent claimed later either hits the cache itself or
+        // demands `d` again and, if `d` failed, is skipped.
+        let result = value
+            .clone()
+            .ok_or_else(|| Self::dep_failure(&label, &status));
+        let mut guard = sched.lock().unwrap();
+        guard.values[d] = value;
+        guard.records[d] = Some((status, CacheSource::None, elapsed));
+        guard.resolving[d] = false;
+        work_available.notify_all();
+        result
+    }
+
+    /// Job `i` cannot run because a dependency could not be produced:
+    /// log it and return its skipped result.
+    fn skip(&self, i: usize, label: String, why: String) -> Outcome {
+        self.emit(Event::JobFinished {
+            id: i,
+            label,
+            status: "skipped".into(),
+            ms: 0.0,
+        });
+        (JobStatus::Skipped(why), None, Duration::ZERO)
+    }
+
+    /// Run job `i`'s body on this thread: emit its lifecycle events and
+    /// telemetry, publish a successful result to the cache, then fire
+    /// the after-job hook.
+    fn execute(
+        &self,
+        i: usize,
+        label: &str,
+        kind: JobKind,
+        fingerprint: Option<u64>,
+        run: JobFn<'_>,
+        deps: &[JobValue],
+    ) -> Outcome {
+        self.emit(Event::JobStarted {
+            id: i,
+            label: label.to_string(),
+        });
+        let t0 = Instant::now();
+        let ctx = JobCtx {
+            deps,
+            cancel: &self.cfg.cancel,
+        };
+        // A body that panics must become a Failed job, not a dead
+        // worker: an unwinding worker would leave `pending` stuck
+        // above zero and deadlock its siblings on the condvar.
+        let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&ctx)))
+            .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(payload))));
+        let elapsed = t0.elapsed();
+        let ms = elapsed.as_secs_f64() * 1e3;
+
+        // Telemetry at the job boundary: counters + histograms are
+        // relaxed atomics (handle lookup is a cold registration
+        // map), and the span goes to this thread's local buffer.
+        let tag = kind.tag();
+        metrics::stage_wall_seconds(tag).observe(elapsed.as_secs_f64());
+        match &output {
+            Ok(_) => metrics::jobs_executed(tag).inc(),
+            Err(_) => metrics::jobs_failed(tag).inc(),
+        }
+        let span_id = fingerprint.unwrap_or_else(|| telemetry::derived_id(0, label));
+        telemetry::record_span_at(label, tag, span_id, 0, t0, t0 + elapsed);
+
+        match &output {
+            Ok(_) => self.emit(Event::JobFinished {
+                id: i,
+                label: label.to_string(),
+                status: "ok".into(),
+                ms,
+            }),
+            Err(msg) => {
+                // Surface the failure — panic text included — in the
+                // event stream with the job id, not only in the
+                // final report.
+                self.emit(Event::StageError {
+                    id: i,
+                    label: label.to_string(),
+                    error: msg.clone(),
+                });
+                self.emit(Event::JobFinished {
+                    id: i,
+                    label: label.to_string(),
+                    status: "failed".into(),
+                    ms,
+                });
+            }
+        }
+
+        // Persist before re-locking: `put` may encode + write to
+        // disk, which must not serialize the scheduler. The
+        // after-job hook runs strictly after the publish (and on
+        // failure too), so a lease released there never exposes a
+        // window where the job is neither leased nor materialized.
+        if let (Ok(value), Some(fp)) = (&output, fingerprint) {
+            self.cache.put(kind, fp, value.clone());
+        }
+        if let (Some(hook), Some(fp)) = (&self.after_job, fingerprint) {
+            hook(kind, fp, output.is_ok());
+        }
+        match output {
+            Ok(value) => (JobStatus::Succeeded, Some(value), elapsed),
+            Err(msg) => (JobStatus::Failed(msg), None, elapsed),
         }
     }
 
@@ -693,6 +833,17 @@ impl Executor {
             .or(Some(first))
     }
 
+    /// Why a dependent of job `label` cannot run, given the job's
+    /// unsuccessful terminal `status`.
+    fn dep_failure(label: &str, status: &JobStatus) -> String {
+        match status {
+            JobStatus::Failed(m) => format!("dependency '{label}' failed: {m}"),
+            JobStatus::Skipped(_) => format!("dependency '{label}' was skipped"),
+            JobStatus::Cancelled => format!("dependency '{label}' was cancelled"),
+            JobStatus::Succeeded => unreachable!("dependency '{label}' succeeded"),
+        }
+    }
+
     /// Record job `i`'s terminal status and release its dependents.
     fn finish(
         sched: &mut Sched<'_>,
@@ -701,18 +852,11 @@ impl Executor {
         cache: CacheSource,
         dur: Duration,
     ) {
-        let failed_reason = match &status {
-            JobStatus::Failed(m) => {
-                Some(format!("dependency '{}' failed: {m}", sched.nodes[i].label))
-            }
-            JobStatus::Skipped(_) => {
-                Some(format!("dependency '{}' was skipped", sched.nodes[i].label))
-            }
-            // Dependents of a cancelled job are claimed normally and hit
-            // the cancel check themselves, so the whole tail of a
-            // cancelled run reads `cancelled`, not `skipped`.
-            JobStatus::Cancelled | JobStatus::Succeeded => None,
-        };
+        // Dependents of a cancelled job are claimed normally and hit the
+        // cancel check themselves, so the whole tail of a cancelled run
+        // reads `cancelled`, not `skipped`.
+        let failed_reason = matches!(status, JobStatus::Failed(_) | JobStatus::Skipped(_))
+            .then(|| Self::dep_failure(&sched.nodes[i].label, &status));
         sched.records[i] = Some((status, cache, dur));
         sched.pending -= 1;
         let dependents = sched.dependents[i].clone();
@@ -796,6 +940,126 @@ mod tests {
             .records
             .iter()
             .all(|r| r.cache == CacheSource::Memory));
+    }
+
+    /// Codec for `u64` values, counting its decodes.
+    #[derive(Default)]
+    struct CountingU64 {
+        decodes: AtomicUsize,
+    }
+
+    impl crate::ValueCodec for CountingU64 {
+        fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
+            value
+                .downcast_ref::<u64>()
+                .map(|x| x.to_le_bytes().to_vec())
+        }
+
+        fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
+            self.decodes.fetch_add(1, Ordering::Relaxed);
+            Some(val(u64::from_le_bytes(bytes.try_into().ok()?)))
+        }
+    }
+
+    #[test]
+    fn interior_disk_hits_decode_only_on_demand_and_once() {
+        let dir =
+            std::env::temp_dir().join(format!("gnnunlock-exec-demand-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(crate::DiskStore::open(&dir).unwrap());
+        let codec = Arc::new(CountingU64::default());
+        // a → (b0, b1, b2) → sum; `salt` re-fingerprints the b's and
+        // the sum, so they miss while `a` stays a disk hit.
+        let graph = |salt: u64| {
+            let mut g = JobGraph::new();
+            let a = g.add("a", JobKind::Lock, Some(1), vec![], |_| Ok(val(7)));
+            let bs: Vec<JobId> = (0..3u64)
+                .map(|k| {
+                    g.add(
+                        format!("b{k}"),
+                        JobKind::Train,
+                        Some(10 + k + salt),
+                        vec![a],
+                        move |ctx| Ok(val(*ctx.dep::<u64>(0) * (k + 1))),
+                    )
+                })
+                .collect();
+            g.add("sum", JobKind::Aggregate, Some(20 + salt), bs, |ctx| {
+                Ok(val((0..3).map(|i| *ctx.dep::<u64>(i)).sum()))
+            });
+            g
+        };
+        let run = |salt: u64| {
+            let cache = Arc::new(ResultCache::with_disk(store.clone(), codec.clone()));
+            let out = Executor::new(ExecConfig::with_workers(4))
+                .with_cache(cache.clone())
+                .run(graph(salt));
+            assert!(out.all_succeeded());
+            assert_eq!(*out.value::<u64>(JobId(4)).unwrap(), 42);
+            (out, cache.stats(), codec.decodes.swap(0, Ordering::Relaxed))
+        };
+        let (cold, _, decodes) = run(0);
+        assert_eq!((cold.stats.executed, decodes), (5, 0));
+
+        // Fully warm: every job is a disk hit, only the sink decodes,
+        // and the interior hits hold no value.
+        let (warm, _, decodes) = run(0);
+        assert_eq!((warm.stats.disk_hits, decodes), (5, 1));
+        assert!(warm.value::<u64>(JobId(0)).is_none());
+
+        // The b's execute and all demand `a`: one decode, and the
+        // siblings reuse the filled slot instead of the memory tier.
+        let (partial, stats, decodes) = run(100);
+        assert_eq!(partial.stats.executed, 4);
+        assert_eq!(partial.records[0].cache, CacheSource::Disk);
+        assert_eq!(*partial.value::<u64>(JobId(0)).unwrap(), 7);
+        assert_eq!(decodes, 1);
+        assert_eq!((stats.hits, stats.disk_hits), (0, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_re_execution_on_demand_skips_the_dependent() {
+        let dir = std::env::temp_dir().join(format!("gnnunlock-exec-rerun-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(crate::DiskStore::open(&dir).unwrap());
+        let run = |a_ok: bool, b_fp: u64| {
+            let mut g = JobGraph::new();
+            let a = g.add("a", JobKind::Lock, Some(1), vec![], move |_| {
+                if a_ok {
+                    Ok(val(7))
+                } else {
+                    Err("input gone".into())
+                }
+            });
+            g.add("b", JobKind::Train, Some(b_fp), vec![a], |ctx| {
+                Ok(val(*ctx.dep::<u64>(0) + 1))
+            });
+            let cache = ResultCache::with_disk(store.clone(), Arc::new(CountingU64::default()));
+            Executor::new(ExecConfig::with_workers(2))
+                .with_cache(Arc::new(cache))
+                .run(g)
+        };
+        assert!(run(true, 2).all_succeeded());
+        // `a`'s entry now holds a payload the codec declines, and its
+        // body fails: `b` demands it, `a` re-runs and fails, `b` is
+        // skipped — no deadlock, no panic.
+        store.save(JobKind::Lock, 1, &[1, 2, 3]).unwrap();
+        let out = run(false, 3);
+        assert_eq!(
+            out.records[0].status,
+            JobStatus::Failed("input gone".into())
+        );
+        assert_eq!(out.records[0].cache, CacheSource::None);
+        match &out.records[1].status {
+            JobStatus::Skipped(why) => assert!(why.contains("'a' failed"), "{why}"),
+            other => panic!("expected Skipped, got {other:?}"),
+        }
+        assert_eq!(
+            (out.stats.failed, out.stats.skipped, out.stats.disk_hits),
+            (1, 1, 0)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

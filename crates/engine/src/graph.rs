@@ -112,7 +112,7 @@ impl JobCtx<'_> {
     }
 }
 
-type JobFn<'a> = Box<dyn FnOnce(&JobCtx<'_>) -> JobOutput + Send + 'a>;
+pub(crate) type JobFn<'a> = Box<dyn FnOnce(&JobCtx<'_>) -> JobOutput + Send + 'a>;
 
 pub(crate) struct JobNode<'a> {
     pub label: String,

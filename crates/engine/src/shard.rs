@@ -184,8 +184,10 @@ pub struct ShardedRun {
     /// The campaign run as this shard observed it. Its default report
     /// is byte-identical across every shard (and to a single-process
     /// run). Caveat: values of probe-ahead-elided jobs are [`Elided`]
-    /// placeholders; aggregate values (which have no dependents, so are
-    /// never elided) are always real.
+    /// placeholders, and interior disk hits hold none (see
+    /// [`crate::RunOutcome::value`]); aggregate values (which have no
+    /// dependents, so are never elided or left undecoded) are always
+    /// real.
     pub run: CampaignRun,
     /// This shard's id.
     pub shard_id: String,

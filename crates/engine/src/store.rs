@@ -373,7 +373,7 @@ impl DiskStore {
             }
             Err(_) => return self.evict(&path),
         };
-        match Self::decode_entry(kind, fp, &bytes) {
+        match Self::decode_entry(kind, fp, bytes) {
             Some(payload) => {
                 self.loads.fetch_add(1, Ordering::Relaxed);
                 metrics::store_event("loads").inc();
@@ -430,8 +430,11 @@ impl DiskStore {
         self.backend.publish(&path, &entry)
     }
 
-    /// Validate an entry file against its header; `None` means corrupt.
-    fn decode_entry(kind: JobKind, fp: u64, bytes: &[u8]) -> Option<Vec<u8>> {
+    /// Validate an entry file against its header and strip the header
+    /// in place, returning the payload in the loaded buffer itself (no
+    /// second allocation); `None` means corrupt.
+    fn decode_entry(kind: JobKind, fp: u64, mut entry: Vec<u8>) -> Option<Vec<u8>> {
+        let bytes = entry.as_slice();
         let mut pos = 0usize;
         // checked_add: the length fields are corruption-controlled, and
         // an overflowing slice bound must read as "corrupt" (evict),
@@ -459,7 +462,9 @@ impl DiskStore {
         if pos != bytes.len() || fingerprint(payload) != checksum {
             return None;
         }
-        Some(payload.to_vec())
+        // The payload is the buffer's tail: shift it to the front.
+        entry.drain(..pos - payload_len);
+        Some(entry)
     }
 
     fn evict(&self, path: &Path) -> Option<Vec<u8>> {

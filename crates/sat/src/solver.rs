@@ -149,9 +149,11 @@ impl Solver {
         self.num_learnts
     }
 
-    /// Limit the number of conflicts for subsequent `solve` calls; `None`
-    /// removes the limit. When the budget is exhausted the query returns
-    /// `Unsat`-like `None` from [`Solver::solve_limited`].
+    /// Limit the number of conflicts each subsequent
+    /// [`Solver::solve_limited`] call may spend; `None` removes the
+    /// limit. A call that exhausts the budget returns `None` (unknown).
+    /// [`Solver::solve`] and [`Solver::solve_with_assumptions`] ignore
+    /// the budget: they always run to a complete answer.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.conflict_budget = budget;
     }
@@ -219,30 +221,38 @@ impl Solver {
         idx
     }
 
-    /// Solve the formula without assumptions.
+    /// Solve the formula without assumptions (never budget-limited).
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with_assumptions(&[])
     }
 
-    /// Solve under the given assumption literals.
+    /// Solve under the given assumption literals. Always a complete
+    /// answer: the conflict budget applies to [`Solver::solve_limited`]
+    /// only.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solve_limited(assumptions)
-            .unwrap_or(SolveResult::Unsat)
+        self.solve_within(assumptions, None)
+            .expect("an unbounded search always completes")
     }
 
     /// Solve under assumptions, returning `None` if the conflict budget
     /// (see [`Solver::set_conflict_budget`]) was exhausted.
     pub fn solve_limited(&mut self, assumptions: &[Lit]) -> Option<SolveResult> {
+        self.solve_within(assumptions, self.conflict_budget)
+    }
+
+    /// Search under assumptions until an answer or until `budget` more
+    /// conflicts have been spent (`None`: no limit).
+    fn solve_within(&mut self, assumptions: &[Lit], budget: Option<u64>) -> Option<SolveResult> {
         if !self.ok {
             return Some(SolveResult::Unsat);
         }
         self.cancel_until(0);
-        let start_conflicts = self.stats.conflicts;
+        let stop_at = budget.map(|b| self.stats.conflicts.saturating_add(b));
         let mut restart_idx = 0u64;
         loop {
             restart_idx += 1;
             let budget = 64 * luby(restart_idx);
-            match self.search(budget, assumptions, start_conflicts) {
+            match self.search(budget, assumptions, stop_at) {
                 SearchResult::Sat => {
                     let r = SolveResult::Sat;
                     // Keep the model readable; backtrack on next call.
@@ -529,7 +539,7 @@ impl Solver {
         &mut self,
         conflicts_allowed: u64,
         assumptions: &[Lit],
-        start_conflicts: u64,
+        stop_at: Option<u64>,
     ) -> SearchResult {
         let mut local_conflicts = 0u64;
         loop {
@@ -571,10 +581,8 @@ impl Solver {
                     self.reduce_db();
                     self.max_learnts += self.max_learnts / 10;
                 }
-                if let Some(budget) = self.conflict_budget {
-                    if self.stats.conflicts - start_conflicts >= budget {
-                        return SearchResult::BudgetExhausted;
-                    }
+                if stop_at.is_some_and(|stop| self.stats.conflicts >= stop) {
+                    return SearchResult::BudgetExhausted;
                 }
             } else {
                 if local_conflicts >= conflicts_allowed {
@@ -860,6 +868,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pigeonhole formula: 5 pigeons, 4 holes, at most one pigeon per
+    /// hole — unsatisfiable.
+    fn pigeonhole_5_into_4() -> Solver {
+        let mut s = Solver::new();
+        let p: Vec<Vec<Lit>> = (0..5)
+            .map(|_| (0..4).map(|_| Lit::positive(s.new_var())).collect())
+            .collect();
+        for row in &p {
+            s.add_clause(row);
+        }
+        #[allow(clippy::needless_range_loop)] // j indexes columns of `p`
+        for j in 0..4 {
+            for i in 0..5 {
+                for k in (i + 1)..5 {
+                    s.add_clause(&[!p[i][j], !p[k][j]]);
+                }
+            }
+        }
+        s
+    }
+
+    /// Random 3-SAT at clause ratio 4.2 with a planted solution (every
+    /// clause keeps a literal the planted assignment makes true), so
+    /// it is satisfiable yet takes search.
+    fn planted_3sat() -> Solver {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 120usize;
+        let planted: Vec<bool> = (0..n).map(|_| rng.random_bool(0.5)).collect();
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+        let mut added = 0;
+        while added < 504 {
+            let c: Vec<(usize, bool)> = (0..3)
+                .map(|_| (rng.random_range(0..n), rng.random_bool(0.5)))
+                .collect();
+            if c.iter().any(|&(v, pos)| planted[v] == pos) {
+                let lits: Vec<Lit> = c
+                    .iter()
+                    .map(|&(v, pos)| Lit::with_polarity(vars[v], pos))
+                    .collect();
+                s.add_clause(&lits);
+                added += 1;
+            }
+        }
+        s
+    }
+
+    /// `build()` needs more than a 2-conflict budget: `solve_limited`
+    /// gives up under it, `solve` still answers `expected`.
+    fn check_budget(name: &str, build: fn() -> Solver, expected: SolveResult) {
+        const BUDGET: u64 = 2;
+        let mut unbounded = build();
+        assert_eq!(unbounded.solve(), expected, "{name}");
+        let needed = unbounded.stats().conflicts;
+        assert!(needed > BUDGET, "{name} took only {needed} conflicts");
+
+        let mut s = build();
+        s.set_conflict_budget(Some(BUDGET));
+        assert_eq!(s.solve_limited(&[]), None, "{name}");
+        // A budget never turns into a verdict: `solve` still answers.
+        let mut s = build();
+        s.set_conflict_budget(Some(BUDGET));
+        assert_eq!(s.solve(), expected, "{name}");
+        assert_eq!(s.solve_with_assumptions(&[]), expected, "{name}");
+    }
+
+    #[test]
+    fn conflict_budget_limits_only_solve_limited() {
+        check_budget("pigeonhole 5->4", pigeonhole_5_into_4, SolveResult::Unsat);
+        check_budget("planted 3-SAT", planted_3sat, SolveResult::Sat);
     }
 
     #[test]

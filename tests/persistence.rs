@@ -6,8 +6,8 @@
 //! warm from a shared cache directory, or killed mid-run and resumed.**
 
 use gnnunlock::engine::{
-    Campaign, CampaignRunner, EventLog, JobCtx, JobOutput, JobValue, StageJob, ValueCodec,
-    EVENTS_FILE,
+    Campaign, CampaignRunner, EventLog, Fault, FaultOp, FaultRule, Faulty, JobCtx, JobOutput,
+    JobValue, LocalDirBackend, StageJob, ValueCodec, EVENTS_FILE,
 };
 use gnnunlock::gnn::{SaintConfig, TrainConfig};
 use gnnunlock::prelude::*;
@@ -229,6 +229,172 @@ fn corrupted_cache_entries_are_evicted_and_recomputed() {
         .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert_eq!(again.outcome.stats.disk_hits, total);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`ToyCodec`] counting its decodes.
+#[derive(Default)]
+struct CountingCodec {
+    decodes: AtomicUsize,
+}
+
+impl ValueCodec for CountingCodec {
+    fn encode(&self, kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
+        ToyCodec.encode(kind, value)
+    }
+
+    fn decode(&self, kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
+        self.decodes.fetch_add(1, Ordering::SeqCst);
+        ToyCodec.decode(kind, bytes)
+    }
+}
+
+/// [`ToyRunner`] persisting through a shared [`CountingCodec`].
+struct CountingRunner(Arc<CountingCodec>);
+
+impl CampaignRunner for CountingRunner {
+    fn config_salt(&self) -> u64 {
+        ToyRunner.config_salt()
+    }
+
+    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
+        Some(self.0.clone())
+    }
+
+    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
+        ToyRunner.run(job, ctx)
+    }
+}
+
+/// Plan indices of the jobs no other job depends on.
+fn sinks(campaign: &Campaign) -> Vec<usize> {
+    let plan = campaign.plan();
+    (0..plan.len())
+        .filter(|i| !plan.iter().any(|(_, deps)| deps.contains(i)))
+        .collect()
+}
+
+#[test]
+fn fully_warm_run_decodes_only_the_sinks() {
+    let dir = tmp_dir("warm-decodes");
+    let campaign = toy_campaign();
+    let codec = Arc::new(CountingCodec::default());
+    let runner = CountingRunner(codec.clone());
+    let cold = campaign
+        .execute_persistent(&runner, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert_eq!(codec.decodes.swap(0, Ordering::SeqCst), 0);
+
+    let warm = campaign
+        .execute_persistent(&runner, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert_eq!(warm.outcome.stats.disk_hits, campaign.plan().len());
+    let sinks = sinks(&campaign);
+    assert!(sinks.len() < campaign.plan().len() / 4, "{sinks:?}");
+    assert_eq!(codec.decodes.load(Ordering::SeqCst), sinks.len());
+    assert_eq!(
+        warm.report(ReportOptions::default()).to_json(),
+        cold.report(ReportOptions::default()).to_json()
+    );
+    // The aggregate is a sink, so its value is there to read.
+    assert_eq!(
+        warm.aggregate::<String>("antisat"),
+        cold.aggregate::<String>("antisat")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Plan indices of the first featurize job and of the dataset job that
+/// depends on it: an interior job and a dependent of it.
+fn featurize_and_dataset(campaign: &Campaign) -> (usize, usize) {
+    let plan = campaign.plan();
+    let feat = plan
+        .iter()
+        .position(|(j, _)| j.kind == JobKind::Featurize)
+        .unwrap();
+    let dataset = plan
+        .iter()
+        .position(|(j, deps)| j.kind == JobKind::Dataset && deps.contains(&feat))
+        .unwrap();
+    (feat, dataset)
+}
+
+#[test]
+fn undecodable_interior_entry_is_re_executed_on_demand() {
+    let dir = tmp_dir("declined-interior");
+    let campaign = toy_campaign();
+    let total = campaign.plan().len();
+    let fps = campaign.job_fingerprints(&ToyRunner);
+    let cold = campaign
+        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    let reference = cold.report(ReportOptions::default()).to_json();
+
+    // The featurize entry keeps a valid header and checksum around a
+    // payload the codec declines (invalid UTF-8); its dependent's entry
+    // is gone, so the dataset job executes and demands it.
+    let (feat, dataset) = featurize_and_dataset(&campaign);
+    let store = DiskStore::open(&dir).unwrap();
+    store
+        .save(JobKind::Featurize, fps[feat], &[0xff, 0xfe, 0xfd])
+        .unwrap();
+    std::fs::remove_file(store.entry_path(JobKind::Dataset, fps[dataset])).unwrap();
+
+    let warm = campaign
+        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert!(warm.outcome.all_succeeded());
+    assert_eq!(warm.report(ReportOptions::default()).to_json(), reference);
+    // The probe counted a hit; the failed demand turned it into an
+    // execution, as a probe-time miss would have been.
+    assert_eq!(warm.outcome.records[feat].cache, CacheSource::None);
+    assert_eq!(warm.outcome.records[dataset].cache, CacheSource::None);
+    assert_eq!(warm.outcome.stats.executed, 2);
+    assert_eq!(warm.outcome.stats.disk_hits, total - 2);
+
+    // The re-execution published a readable replacement.
+    let bytes = store.load(JobKind::Featurize, fps[feat]).unwrap();
+    assert!(ToyCodec.decode(JobKind::Featurize, &bytes).is_some());
+    let again = campaign
+        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert_eq!(again.outcome.stats.disk_hits, total);
+    assert_eq!(again.report(ReportOptions::default()).to_json(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn load_fault_on_demand_re_executes_instead_of_failing() {
+    let dir = tmp_dir("demand-fault");
+    let campaign = toy_campaign();
+    let total = campaign.plan().len();
+    let fps = campaign.job_fingerprints(&ToyRunner);
+    let reference = campaign
+        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .unwrap()
+        .report(ReportOptions::default())
+        .to_json();
+    let (feat, dataset) = featurize_and_dataset(&campaign);
+    let feat_hex = format!("{:016x}", fps[feat]);
+
+    // The probe's load of the featurize entry passes; the demand-time
+    // load fails: reported absent, then torn (a checksum failure that
+    // evicts the entry).
+    for fault in [Fault::Invisible, Fault::TornRead(9)] {
+        let faulty = Arc::new(Faulty::new(LocalDirBackend::new()));
+        let store = Arc::new(DiskStore::open_with_backend(&dir, "", faulty.clone()).unwrap());
+        std::fs::remove_file(store.entry_path(JobKind::Dataset, fps[dataset])).unwrap();
+        faulty.inject(FaultRule::on(FaultOp::Load, feat_hex.as_str(), fault).after(1));
+        let executor = Executor::new(ExecConfig::with_workers(2))
+            .with_cache(Arc::new(ResultCache::with_disk(store, Arc::new(ToyCodec))));
+        let run = campaign.execute(&ToyRunner, &executor);
+        assert_eq!(faulty.faults_fired(), 1, "{fault:?}");
+        assert!(run.outcome.all_succeeded(), "{fault:?}");
+        assert_eq!(run.outcome.records[feat].cache, CacheSource::None);
+        assert_eq!(run.outcome.stats.executed, 2, "{fault:?}");
+        assert_eq!(run.outcome.stats.disk_hits, total - 2, "{fault:?}");
+        assert_eq!(run.report(ReportOptions::default()).to_json(), reference);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
